@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench-trajectory analyze apply chaos
+.PHONY: build test race bench analyze apply chaos
 
 build:
 	$(GO) build ./...
@@ -11,15 +11,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Regenerate the checked-in benchmark trajectory file for this PR's five
-# headline benchmarks (see cmd/bench-trajectory). Use BENCHTIME=1x for a
-# smoke run (what CI does); the default takes a few minutes.
-BENCHTIME ?= 0.3s
-COUNT ?= 3
-TRAJECTORY ?= BENCH_pr9.json
-
-bench-trajectory:
-	$(GO) run ./cmd/bench-trajectory -benchtime $(BENCHTIME) -count $(COUNT) -out $(TRAJECTORY)
+# Self-test the cost benchmark (costbench/README.md). costbench is a
+# module of its own, so the root `go test ./...` does not reach it: vet and
+# test it, then run each workload for 2 s. run.sh exits non-zero when any
+# checksum mismatches.
+bench:
+	cd costbench && $(GO) vet ./... && $(GO) test ./...
+	for w in pmd-auto tvla-auto frontend-online contextstorm-governed; do \
+		bash costbench/run.sh --workload $$w --seconds 2 --trace 0 || exit 1; \
+	done
 
 # Dogfood the site analyzer over the repository itself (docs/ANALYSIS.md):
 # every package except the deliberately-unsafe fixture tree must come back

@@ -202,7 +202,7 @@ func BenchmarkGovernorTiers(b *testing.B) {
 	const stormScale = 30
 	b.Run("unmetered", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s := core.NewSession(core.Config{GCThreshold: 64 << 10, DropSnapshots: true})
+			s := core.NewSession(core.Config{Mode: alloctx.Static, GCThreshold: 64 << 10, DropSnapshots: true})
 			if workloads.RunContextStorm(s.Runtime(), workloads.Baseline, stormScale) == 0 {
 				b.Fatal("zero checksum")
 			}
@@ -223,6 +223,7 @@ func BenchmarkGovernorTiers(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s := core.NewSession(core.Config{
+					Mode:        alloctx.Static,
 					GCThreshold: 64 << 10, DropSnapshots: true,
 					OverheadBudget: 0.05, // wires the meter; ticking stays manual
 				})

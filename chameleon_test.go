@@ -64,6 +64,7 @@ func TestPublicRuleLanguage(t *testing.T) {
 
 func TestPublicOnlineMode(t *testing.T) {
 	session := chameleon.NewSession(chameleon.Config{
+		Mode:          chameleon.ContextStatic,
 		Online:        true,
 		OnlineOptions: chameleon.OnlineOptions{MinEvidence: 8},
 	})
@@ -117,7 +118,7 @@ func TestPublicCollectionsBehaviour(t *testing.T) {
 // The full profile -> plan -> re-run loop through the public API only.
 func TestPublicPlanWorkflow(t *testing.T) {
 	profileRun := func(plan *chameleon.Plan) (*chameleon.Session, uint64) {
-		cfg := chameleon.Config{GCThreshold: 16 << 10}
+		cfg := chameleon.Config{Mode: chameleon.ContextStatic, GCThreshold: 16 << 10}
 		if plan != nil {
 			cfg.Selector = plan
 		}

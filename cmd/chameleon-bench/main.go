@@ -7,10 +7,14 @@
 //	fig7  — running-time improvement per benchmark
 //	fig8  — bloat: the collections spike
 //	sweep — §2.3 hybrid conversion-threshold sweep on TVLA
+//	calibrate — §3.3.1 per-environment rule-constant calibration
 //	plan  — §3.3.2 tool-applied plan: profile -> plan -> re-run
-//	frontend — latency-SLO tail under concurrent-native backings
 //	auto  — §5.4 fully-automatic-mode overhead (TVLA vs PMD)
 //	all   — everything above
+//
+// The timed experiments (fig7, sweep, auto) report the median of -reps
+// repetitions. The cost of each instrumentation layer is measured
+// by costbench/ (see costbench/README.md), not here.
 //
 // Usage: chameleon-bench -experiment fig6 [-scale N] [-reps R]
 package main
@@ -26,9 +30,9 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "fig2|fig3|fig6|fig7|fig8|sweep|auto|all")
+		experiment = flag.String("experiment", "all", "fig2|fig3|fig6|fig7|fig8|sweep|calibrate|plan|auto|all")
 		scale      = flag.Int("scale", 0, "override every workload's scale (0 = defaults)")
-		reps       = flag.Int("reps", 3, "timing repetitions (minimum is reported)")
+		reps       = flag.Int("reps", 3, "timing repetitions (median is reported)")
 	)
 	flag.Parse()
 
@@ -129,16 +133,6 @@ func main() {
 			return nil
 		})
 	}
-	if want("frontend") {
-		run("frontend: latency-SLO tail under concurrent-native backings", func() error {
-			rows, err := experiments.Frontend(*scale, nil, *reps)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiments.FormatFrontend(rows))
-			return nil
-		})
-	}
 	if want("auto") {
 		run("§5.4: fully-automatic online mode overhead", func() error {
 			rows, err := experiments.AutoOverhead(scales, *reps)
@@ -150,7 +144,7 @@ func main() {
 		})
 	}
 	switch *experiment {
-	case "fig2", "fig3", "fig6", "fig7", "fig8", "sweep", "plan", "calibrate", "frontend", "auto", "all":
+	case "fig2", "fig3", "fig6", "fig7", "fig8", "sweep", "plan", "calibrate", "auto", "all":
 	default:
 		fmt.Fprintf(os.Stderr, "chameleon-bench: unknown experiment %q\n", *experiment)
 		os.Exit(2)

@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"chameleon/internal/advisor"
+	"chameleon/internal/alloctx"
 	"chameleon/internal/core"
 	"chameleon/internal/experiments"
 	"chameleon/internal/workloads"
@@ -25,7 +26,7 @@ func main() {
 		panic(err)
 	}
 
-	s := core.NewSession(core.Config{GCThreshold: 48 << 10})
+	s := core.NewSession(core.Config{Mode: alloctx.Static, GCThreshold: 48 << 10})
 	checksum := spec.Run(s.Runtime(), workloads.Baseline, *scale)
 	s.FinalGC()
 
@@ -40,7 +41,7 @@ func main() {
 	fmt.Println("\nthe rule engine identifies the empty lists:")
 	fmt.Print(rep.Format())
 
-	s2 := core.NewSession(core.Config{GCThreshold: 48 << 10})
+	s2 := core.NewSession(core.Config{Mode: alloctx.Static, GCThreshold: 48 << 10})
 	checksum2 := spec.Run(s2.Runtime(), workloads.Tuned, *scale)
 	s2.FinalGC()
 	if checksum != checksum2 {

@@ -134,7 +134,7 @@ func (c *IntCache) Free(s *core.Session) {
 }
 
 func main() {
-	session := core.NewSession(core.Config{GCThreshold: 16 << 10})
+	session := core.NewSession(core.Config{Mode: alloctx.Static, GCThreshold: 16 << 10})
 
 	// The application allocates generously sized caches but stores only a
 	// handful of entries in each — the classic utilization gap.

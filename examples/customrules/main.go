@@ -13,6 +13,7 @@ import (
 	"os"
 
 	"chameleon/internal/advisor"
+	"chameleon/internal/alloctx"
 	"chameleon/internal/collections"
 	"chameleon/internal/core"
 	"chameleon/internal/rules"
@@ -49,7 +50,7 @@ func main() {
 	fmt.Printf("parameters used: %v\n\n", rules.ParamsOf(rs))
 
 	// Profile a run that triggers both rules.
-	session := core.NewSession(core.Config{GCThreshold: 32 << 10})
+	session := core.NewSession(core.Config{Mode: alloctx.Static, GCThreshold: 32 << 10})
 	rt := session.Runtime()
 
 	for i := 0; i < 100; i++ {

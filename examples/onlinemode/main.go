@@ -10,12 +10,14 @@ import (
 	"fmt"
 
 	"chameleon/internal/adaptive"
+	"chameleon/internal/alloctx"
 	"chameleon/internal/collections"
 	"chameleon/internal/core"
 )
 
 func main() {
 	session := core.NewSession(core.Config{
+		Mode:          alloctx.Static,
 		Online:        true,
 		OnlineOptions: adaptive.Options{MinEvidence: 16},
 		GCThreshold:   32 << 10,

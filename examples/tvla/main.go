@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"chameleon/internal/advisor"
+	"chameleon/internal/alloctx"
 	"chameleon/internal/core"
 	"chameleon/internal/experiments"
 	"chameleon/internal/workloads"
@@ -29,7 +30,7 @@ func main() {
 	}
 
 	// Step 1: run under profiling; check the saving potential.
-	s := core.NewSession(core.Config{GCThreshold: 64 << 10})
+	s := core.NewSession(core.Config{Mode: alloctx.Static, GCThreshold: 64 << 10})
 	start := time.Now()
 	checksum := spec.Run(s.Runtime(), workloads.Baseline, *scale)
 	baseTime := time.Since(start)
@@ -48,7 +49,7 @@ func main() {
 	fmt.Print(rep.Format())
 
 	// Step 2: apply the suggested fixes and re-run.
-	s2 := core.NewSession(core.Config{GCThreshold: 64 << 10})
+	s2 := core.NewSession(core.Config{Mode: alloctx.Static, GCThreshold: 64 << 10})
 	start = time.Now()
 	checksum2 := spec.Run(s2.Runtime(), workloads.Tuned, *scale)
 	tunedTime := time.Since(start)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"chameleon/internal/adaptive"
+	"chameleon/internal/alloctx"
 	"chameleon/internal/core"
 	"chameleon/internal/faults"
 	"chameleon/internal/fleet"
@@ -272,6 +273,7 @@ func (h *Harness) executeWorkload(s Schedule) (*report, error) {
 	snapPath := filepath.Join(dir, "snap.json")
 
 	sess := core.NewSession(core.Config{
+		Mode:           alloctx.Static,
 		Online:         true,
 		OnlineOptions:  onlineOptions(),
 		OverheadBudget: 0.05,
@@ -386,7 +388,7 @@ func (h *Harness) executeFleet(s Schedule) (*report, error) {
 	// sources. Arming before this point would let write faults tear files
 	// that are never rewritten, wedging the ledger through no fault of the
 	// system under test.
-	template := core.NewSession(core.Config{DropSnapshots: true})
+	template := core.NewSession(core.Config{Mode: alloctx.Static, DropSnapshots: true})
 	workloads.RunPhaseShift(template.Runtime(), workloads.Baseline, 6)
 	template.FinalGC()
 	tmplProfiles := template.Prof.Snapshot()
@@ -397,6 +399,7 @@ func (h *Harness) executeFleet(s Schedule) (*report, error) {
 	}
 
 	sess := core.NewSession(core.Config{
+		Mode:           alloctx.Static,
 		Online:         true,
 		OnlineOptions:  onlineOptions(),
 		OverheadBudget: 0.05,

@@ -21,7 +21,10 @@ import (
 
 // Config configures a Session.
 type Config struct {
-	// Mode selects allocation-context capture (default Static).
+	// Mode selects allocation-context capture. The zero value is
+	// alloctx.Off: no contexts are interned and every allocation is
+	// profiled under context 0. Name alloctx.Static or alloctx.Dynamic to
+	// capture contexts.
 	Mode alloctx.Mode
 	// Depth is the dynamic-capture partial-context depth (default 2).
 	Depth int
@@ -94,9 +97,6 @@ type Session struct {
 // NewSession builds a fully wired session.
 func NewSession(cfg Config) *Session {
 	s := &Session{Contexts: alloctx.NewTable(), maxContexts: cfg.MaxContexts}
-	if cfg.Mode == 0 {
-		cfg.Mode = alloctx.Static
-	}
 	var overflowKey uint64
 	if cfg.MaxContexts > 0 {
 		s.Contexts.SetMaxContexts(cfg.MaxContexts)

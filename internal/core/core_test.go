@@ -9,10 +9,11 @@ import (
 	"chameleon/internal/collections"
 	"chameleon/internal/heap"
 	"chameleon/internal/spec"
+	"chameleon/internal/workloads"
 )
 
 func TestSessionEndToEnd(t *testing.T) {
-	s := NewSession(Config{GCThreshold: 4 << 10})
+	s := NewSession(Config{Mode: alloctx.Static, GCThreshold: 4 << 10})
 	rt := s.Runtime()
 
 	var maps []*collections.Map[int, int]
@@ -60,7 +61,7 @@ func TestSessionEndToEnd(t *testing.T) {
 }
 
 func TestSessionOnlineMode(t *testing.T) {
-	s := NewSession(Config{Online: true, GCThreshold: 1 << 20})
+	s := NewSession(Config{Mode: alloctx.Static, Online: true, GCThreshold: 1 << 20})
 	if s.Selector == nil {
 		t.Fatal("online session lacks selector")
 	}
@@ -78,7 +79,7 @@ func TestSessionOnlineMode(t *testing.T) {
 }
 
 func TestSessionNoProfiling(t *testing.T) {
-	s := NewSession(Config{NoProfiling: true})
+	s := NewSession(Config{Mode: alloctx.Static, NoProfiling: true})
 	if s.Prof != nil {
 		t.Fatal("NoProfiling session has a profiler")
 	}
@@ -96,6 +97,31 @@ func TestSessionNoProfiling(t *testing.T) {
 	}
 }
 
+// Mode's zero value is alloctx.Off and must stay off: a session that asks
+// for no capture interns no contexts, and every profile it records is the
+// unlabelled context 0.
+func TestSessionModeOffCapturesNothing(t *testing.T) {
+	spec, err := workloads.ByName("pmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSession(Config{Mode: alloctx.Off, GCThreshold: 64 << 10})
+	spec.Run(s.Runtime(), workloads.Baseline, 5)
+	s.FinalGC()
+	if n := s.Contexts.Len(); n != 0 {
+		t.Fatalf("Mode Off interned %d contexts", n)
+	}
+	profiles := s.Prof.Snapshot()
+	if len(profiles) == 0 {
+		t.Fatal("Mode Off recorded no profiles")
+	}
+	for _, p := range profiles {
+		if p.Context != nil || p.Context.Key() != 0 {
+			t.Fatalf("Mode Off profile carries context %q", p.Context)
+		}
+	}
+}
+
 func TestSessionDynamicMode(t *testing.T) {
 	s := NewSession(Config{Mode: alloctx.Dynamic, GCThreshold: 1 << 20})
 	l := collections.NewArrayList[int](s.Runtime())
@@ -108,7 +134,7 @@ func TestSessionDynamicMode(t *testing.T) {
 }
 
 func TestSessionHeapLimit(t *testing.T) {
-	s := NewSession(Config{Limit: 4096, NoProfiling: true, DropSnapshots: true})
+	s := NewSession(Config{Mode: alloctx.Static, Limit: 4096, NoProfiling: true, DropSnapshots: true})
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -137,7 +163,7 @@ func TestSessionFixedSelector(t *testing.T) {
 		}
 		return def
 	})
-	s := NewSession(Config{Selector: plan})
+	s := NewSession(Config{Mode: alloctx.Static, Selector: plan})
 	m := collections.NewHashMap[int, int](s.Runtime(), collections.At("sel:1"))
 	if m.Kind() != spec.KindArrayMap {
 		t.Fatalf("fixed selector ignored: %v", m.Kind())

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"chameleon/internal/alloctx"
 	"chameleon/internal/collections"
 	"chameleon/internal/faults"
 	"chameleon/internal/governor"
@@ -13,7 +14,7 @@ import (
 // TestSessionHealthBudget: Health reports the budget position after a run
 // that overflows it, and the snapshot marshals for -health-out.
 func TestSessionHealthBudget(t *testing.T) {
-	s := NewSession(Config{MaxContexts: 4})
+	s := NewSession(Config{Mode: alloctx.Static, MaxContexts: 4})
 	rt := s.Runtime()
 	for i := 0; i < 64; i++ {
 		at := collections.At("health.hot:1")
@@ -64,6 +65,7 @@ func TestSessionGovernorDegradesAndPauses(t *testing.T) {
 		return d + spike, true
 	}})
 	s := NewSession(Config{
+		Mode:           alloctx.Static,
 		Online:         true,
 		OverheadBudget: 0.05,
 		GovernorOptions: governor.Config{
@@ -120,11 +122,11 @@ func TestSessionGovernorDegradesAndPauses(t *testing.T) {
 // TestSessionStartStopGovernor: the wall-clock ticker path works through
 // the session wrappers and is a no-op on ungoverned sessions.
 func TestSessionStartStopGovernor(t *testing.T) {
-	plain := NewSession(Config{})
+	plain := NewSession(Config{Mode: alloctx.Static})
 	plain.StartGovernor(time.Millisecond) // no governor: must not panic
 	plain.StopGovernor()
 
-	gov := NewSession(Config{OverheadBudget: 0.05})
+	gov := NewSession(Config{Mode: alloctx.Static, OverheadBudget: 0.05})
 	gov.StartGovernor(time.Millisecond)
 	time.Sleep(5 * time.Millisecond)
 	gov.StopGovernor()

@@ -160,11 +160,8 @@ type Fig7Row struct {
 
 // Fig7 reproduces paper Fig. 7. Each variant runs without profiling (the
 // plain program), with the GC budget derived from the *baseline* minimal
-// heap for both variants, and the minimum of reps repetitions is reported.
+// heap for both variants, and the median of reps repetitions is reported.
 func Fig7(scales map[string]int, reps int) ([]Fig7Row, error) {
-	if reps <= 0 {
-		reps = 3
-	}
 	var rows []Fig7Row
 	for _, spec := range workloads.All() {
 		scale := spec.DefaultScale
@@ -173,13 +170,12 @@ func Fig7(scales map[string]int, reps int) ([]Fig7Row, error) {
 		}
 		// Determine the original minimal heap first (§5.2 step 6).
 		base := Run(spec, workloads.Baseline, scale, defaultConfig())
-		budget := base.MinimalHeap
-
-		bt, bsum := measureTime(spec, workloads.Baseline, scale, budget, reps)
-		tt, tsum := measureTime(spec, workloads.Tuned, scale, budget, reps)
-		if err := checkEquivalence(spec.Name, bsum, tsum); err != nil {
+		cfg := timedConfig(base.MinimalHeap)
+		t, r := timeRuns(scale, reps, timedRun{spec, workloads.Baseline, cfg}, timedRun{spec, workloads.Tuned, cfg})
+		if err := checkEquivalence(spec.Name, r[0].Checksum, r[1].Checksum); err != nil {
 			return nil, err
 		}
+		bt, tt := t[0], t[1]
 		rows = append(rows, Fig7Row{
 			Benchmark:      spec.Name,
 			BaselineMs:     float64(bt.Microseconds()) / 1000,

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"chameleon/internal/alloctx"
 	"chameleon/internal/core"
 	"chameleon/internal/heap"
 	"chameleon/internal/workloads"
@@ -37,6 +38,7 @@ func runWithLimit(spec workloads.Spec, v workloads.Variant, scale int, limit int
 		}
 	}()
 	s := core.NewSession(core.Config{
+		Mode:          alloctx.Static,
 		NoProfiling:   true,
 		DropSnapshots: true,
 		GCThreshold:   1 << 30,
@@ -56,7 +58,7 @@ func SearchMinHeap(name string, v workloads.Variant, scale int) (MinHeapSearch, 
 		scale = spec.DefaultScale
 	}
 	res := MinHeapSearch{Workload: name, Variant: v}
-	base := Run(spec, v, scale, core.Config{NoProfiling: true, DropSnapshots: true, GCThreshold: 1 << 30})
+	base := Run(spec, v, scale, core.Config{Mode: alloctx.Static, NoProfiling: true, DropSnapshots: true, GCThreshold: 1 << 30})
 	res.PeakLive = base.Stats.PeakLive
 
 	lo, hi := int64(0), res.PeakLive // completing at hi is guaranteed

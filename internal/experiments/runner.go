@@ -9,6 +9,8 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"time"
 
 	"chameleon/internal/alloctx"
@@ -74,19 +76,37 @@ func timedConfig(heapBudget int64) core.Config {
 	}
 }
 
-// measureTime runs a variant reps times under the timing configuration and
-// reports the minimum duration (and checks the checksum).
-func measureTime(spec workloads.Spec, v workloads.Variant, scale int, heapBudget int64, reps int) (time.Duration, uint64) {
-	best := time.Duration(1<<62 - 1)
-	var sum uint64
-	for i := 0; i < reps; i++ {
-		r := Run(spec, v, scale, timedConfig(heapBudget))
-		if r.Duration < best {
-			best = r.Duration
-		}
-		sum = r.Checksum
+// timedRun is one program configuration of a timing comparison.
+type timedRun struct {
+	spec workloads.Spec
+	v    workloads.Variant
+	cfg  core.Config
+}
+
+// timeRuns times each run reps times (default 3) at the given scale, every
+// repetition in a fresh session started from a collected Go heap. The runs
+// take turns, so a burst of load on the machine slows them alike. It
+// reports each run's median duration and its last result, whose checksum
+// and minimal heap every repetition shares.
+func timeRuns(scale, reps int, runs ...timedRun) ([]time.Duration, []RunResult) {
+	if reps <= 0 {
+		reps = 3
 	}
-	return best, sum
+	ds := make([][]time.Duration, len(runs))
+	last := make([]RunResult, len(runs))
+	for range reps {
+		for i, r := range runs {
+			runtime.GC()
+			last[i] = Run(r.spec, r.v, scale, r.cfg)
+			ds[i] = append(ds[i], last[i].Duration)
+		}
+	}
+	medians := make([]time.Duration, len(runs))
+	for i, d := range ds {
+		slices.Sort(d)
+		medians[i] = (d[(reps-1)/2] + d[reps/2]) / 2
+	}
+	return medians, last
 }
 
 // pctImprovement is 100*(base-after)/base, 0 when base is 0.

@@ -55,39 +55,32 @@ func Sweep(thresholds []int, scale, reps int) ([]SweepRow, int64, error) {
 	if len(thresholds) == 0 {
 		thresholds = []int{2, 4, 6, 8, 13, 16, 24, 32}
 	}
-	if reps <= 0 {
-		reps = 3
-	}
 
 	base := Run(spec, workloads.Baseline, scale, defaultConfig())
-	budget := base.MinimalHeap
-	baseTime, baseSum := measureTime(spec, workloads.Baseline, scale, budget, reps)
-
-	var rows []SweepRow
+	cfg := timedConfig(base.MinimalHeap)
+	runs := []timedRun{{spec, workloads.Baseline, cfg}}
 	for _, thr := range thresholds {
-		thr := thr
 		adaptive := func(rt *collections.Runtime, _ workloads.Variant, sc int) uint64 {
 			return workloads.RunTVLAAdaptive(rt, thr, sc)
 		}
 		aspec := workloads.Spec{Name: fmt.Sprintf("tvla-adapt-%d", thr), Run: adaptive}
+		runs = append(runs, timedRun{aspec, workloads.Baseline, cfg})
+	}
+	t, r := timeRuns(scale, reps, runs...)
 
+	var rows []SweepRow
+	for i, thr := range thresholds {
+		aspec := runs[i+1].spec
 		space := Run(aspec, workloads.Baseline, scale, defaultConfig())
-		if err := checkEquivalence(aspec.Name, baseSum, space.Checksum); err != nil {
+		if err := checkEquivalence(aspec.Name, r[0].Checksum, space.Checksum); err != nil {
 			return nil, 0, err
-		}
-		best := time.Duration(1<<62 - 1)
-		for i := 0; i < reps; i++ {
-			r := Run(aspec, workloads.Baseline, scale, timedConfig(budget))
-			if r.Duration < best {
-				best = r.Duration
-			}
 		}
 		rows = append(rows, SweepRow{
 			Threshold:         thr,
 			MinimalHeap:       space.MinimalHeap,
-			Duration:          best,
+			Duration:          t[i+1],
 			HeapVsBaselinePct: pctImprovement(float64(base.MinimalHeap), float64(space.MinimalHeap)),
-			TimeVsBaselinePct: pctImprovement(float64(baseTime), float64(best)),
+			TimeVsBaselinePct: pctImprovement(float64(t[0]), float64(t[i+1])),
 		})
 	}
 	return rows, base.MinimalHeap, nil
@@ -131,9 +124,6 @@ type AutoRow struct {
 // collections amplified the cost of obtaining allocation contexts into a
 // prohibitive (6x) slowdown.
 func AutoOverhead(scale map[string]int, reps int) ([]AutoRow, error) {
-	if reps <= 0 {
-		reps = 3
-	}
 	paperSlow := map[string]float64{"tvla": 35, "pmd": 500}
 	var rows []AutoRow
 	for _, name := range []string{"tvla", "pmd"} {
@@ -147,31 +137,21 @@ func AutoOverhead(scale map[string]int, reps int) ([]AutoRow, error) {
 		}
 		base := Run(spec, workloads.Baseline, sc, defaultConfig())
 		budget := base.MinimalHeap
-		baseTime, baseSum := measureTime(spec, workloads.Baseline, sc, budget, reps)
-
-		autoCfg := autoConfig(budget)
-		bestAuto := time.Duration(1<<62 - 1)
-		var autoHeap int64
-		var autoSum uint64
-		for i := 0; i < reps; i++ {
-			r := Run(spec, workloads.Baseline, sc, autoCfg)
-			if r.Duration < bestAuto {
-				bestAuto = r.Duration
-			}
-			autoHeap = r.MinimalHeap
-			autoSum = r.Checksum
-		}
-		if err := checkEquivalence(name+"-auto", baseSum, autoSum); err != nil {
+		t, r := timeRuns(sc, reps,
+			timedRun{spec, workloads.Baseline, timedConfig(budget)},
+			timedRun{spec, workloads.Baseline, autoConfig(budget)})
+		if err := checkEquivalence(name+"-auto", r[0].Checksum, r[1].Checksum); err != nil {
 			return nil, err
 		}
+		baseTime, autoTime := t[0], t[1]
 		manual := Run(spec, workloads.Tuned, sc, defaultConfig())
 
 		rows = append(rows, AutoRow{
 			Benchmark:        name,
 			BaselineMs:       float64(baseTime.Microseconds()) / 1000,
-			AutoMs:           float64(bestAuto.Microseconds()) / 1000,
-			SlowdownPct:      -pctImprovement(float64(baseTime), float64(bestAuto)),
-			AutoMinHeap:      autoHeap,
+			AutoMs:           float64(autoTime.Microseconds()) / 1000,
+			SlowdownPct:      -pctImprovement(float64(baseTime), float64(autoTime)),
+			AutoMinHeap:      r[1].MinimalHeap,
 			ManualMinHeap:    manual.MinimalHeap,
 			PaperSlowdownPct: paperSlow[name],
 		})

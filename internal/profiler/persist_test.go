@@ -265,9 +265,9 @@ func wireSnapshot(t *testing.T, w profileWire) string {
 	return buf.String()
 }
 
-// TestLegacyArrayStillReads: a v1 snapshot (plain JSON array) loads, and
-// per-record validation still applies to it.
-func TestLegacyArrayStillReads(t *testing.T) {
+// TestLegacyArrayRejected: the v1 format (one JSON array) is no longer
+// read; it fails at the stream level instead of loading records.
+func TestLegacyArrayRejected(t *testing.T) {
 	profiles := buildManyProfiles(t, 2)
 	var records []string
 	for _, p := range profiles {
@@ -275,10 +275,10 @@ func TestLegacyArrayStillReads(t *testing.T) {
 	}
 	legacy := "[\n" + strings.Join(records, ",\n") + "\n]"
 	loaded, recErrs, err := ReadProfilesReport(strings.NewReader(legacy))
-	if err != nil || len(recErrs) != 0 {
-		t.Fatalf("legacy array load: err=%v damage=%v", err, recErrs)
+	if err == nil || !strings.Contains(err.Error(), "unrecognized header") {
+		t.Fatalf("v1 array: err = %v, want an unrecognized-header error", err)
 	}
-	if len(loaded) != 2 {
-		t.Fatalf("legacy array loaded %d records, want 2", len(loaded))
+	if len(loaded) != 0 || len(recErrs) != 0 {
+		t.Fatalf("v1 array: loaded %d records with %d damage reports, want none", len(loaded), len(recErrs))
 	}
 }

@@ -3,6 +3,7 @@ package workloads
 import (
 	"testing"
 
+	"chameleon/internal/alloctx"
 	"chameleon/internal/core"
 	"chameleon/internal/governor"
 )
@@ -15,7 +16,7 @@ import (
 func TestContextStormChecksumInvariantUnderBudget(t *testing.T) {
 	const scale = 40
 	run := func(maxContexts int) (uint64, core.Health) {
-		s := core.NewSession(core.Config{MaxContexts: maxContexts})
+		s := core.NewSession(core.Config{Mode: alloctx.Static, MaxContexts: maxContexts})
 		sum := RunContextStorm(s.Runtime(), Baseline, scale)
 		s.FinalGC()
 		return sum, s.Health()
@@ -52,12 +53,12 @@ func TestContextStormChecksumInvariantUnderBudget(t *testing.T) {
 func TestContextStormScheduleIndependent(t *testing.T) {
 	const scale = 20
 	want := func() uint64 {
-		s := core.NewSession(core.Config{})
+		s := core.NewSession(core.Config{Mode: alloctx.Static})
 		return RunContextStorm(s.Runtime(), Baseline, scale)
 	}()
 	for _, workers := range []int{2, 4} {
 		for _, budget := range []int{0, 32} {
-			s := core.NewSession(core.Config{MaxContexts: budget})
+			s := core.NewSession(core.Config{Mode: alloctx.Static, MaxContexts: budget})
 			got := RunContextStormWorkers(s.Runtime(), Baseline, scale, workers)
 			if got != want {
 				t.Fatalf("workers=%d budget=%d checksum %#x, want %#x", workers, budget, got, want)
@@ -72,7 +73,7 @@ func TestContextStormScheduleIndependent(t *testing.T) {
 func TestContextStormVariantsAgree(t *testing.T) {
 	const scale = 20
 	run := func(v Variant) uint64 {
-		s := core.NewSession(core.Config{})
+		s := core.NewSession(core.Config{Mode: alloctx.Static})
 		return RunContextStorm(s.Runtime(), v, scale)
 	}
 	if b, tu := run(Baseline), run(Tuned); b != tu {
@@ -87,7 +88,7 @@ func TestContextStormChecksumStableAcrossTiers(t *testing.T) {
 	const scale = 20
 	var sums []uint64
 	for tier := governor.TierFull; tier <= governor.TierOff; tier++ {
-		s := core.NewSession(core.Config{})
+		s := core.NewSession(core.Config{Mode: alloctx.Static})
 		s.Runtime().SetProfilingTier(tier, 4)
 		sums = append(sums, RunContextStorm(s.Runtime(), Baseline, scale))
 	}
