@@ -132,17 +132,26 @@ func hashString(s string) uint64 {
 
 // Table interns contexts. It is safe for concurrent use; the table is
 // read-mostly (every context after its first capture is a pure lookup), so
-// it is backed by a sync.Map and repeat captures take no lock at all.
+// it is backed by a sync.Map, and repeat dynamic captures and published
+// static labels take no lock at all.
 type Table struct {
 	byKey sync.Map // uint64 -> *Context
 
-	// statics memoizes Static lookups by label. The set of static labels
-	// is small and fixed (one per annotated call site), so it is a
-	// copy-on-write map: the hot path — every allocation in static mode —
-	// is one atomic pointer load and one built-in map access, with no
-	// label re-hashing and no allocation.
+	// statics memoizes Static lookups by label. It is the read half of an
+	// amortised read/dirty memo that follows sync.Map's promotion rule. The
+	// hot path — every allocation in static mode — is one atomic pointer
+	// load and one built-in map access on a map never written after it is
+	// published: no label re-hashing, no lock, no allocation. Every miss on
+	// it (a first sighting, or a label admitted since the last publish)
+	// takes staticMu and is recorded in dirty, which is seeded once from
+	// the published map and replaces it once the misses since the last
+	// publish reach len(dirty). Label sets need not be small or
+	// fixed (contextstorm's never repeat): n labels cost O(n) copying in
+	// total, where copying the whole map per new label cost O(n²).
 	statics  atomic.Pointer[map[string]*Context]
 	staticMu sync.Mutex
+	dirty    map[string]*Context // guarded by staticMu; nil right after a publish
+	misses   int                 // guarded by staticMu
 
 	// count tracks interned contexts so Len() is one atomic load instead
 	// of a full sync.Map range; collisions counts the (astronomically
@@ -192,9 +201,10 @@ func (t *Table) Static(label string) *Context {
 // admit=false subjects the creation of a *new* context to the context
 // budget: when the table is full the capture is redirected to the shared
 // overflow context. Existing contexts always resolve, budget or not. The
-// check is racy-exact — concurrent first captures may briefly overshoot
-// the cap by the number of racing goroutines — which is the usual bound
-// for an admission counter that must not serialize the hot path.
+// budget is exact: a new context claims its slot with a CAS on count
+// before it is stored (and releases it if it loses the store race), so
+// concurrent first captures never overshoot the cap, and the lookup path
+// takes no lock.
 func (t *Table) intern(key uint64, admit bool, same func(*Context) bool, mk func(uint64) *Context) *Context {
 	probed := false
 	for {
@@ -204,20 +214,21 @@ func (t *Table) intern(key uint64, admit bool, same func(*Context) bool, mk func
 				return ctx
 			}
 		} else {
-			if !admit && t.full() {
+			if !t.reserve(admit) {
 				t.denied.Add(1)
 				return t.Overflow()
 			}
 			c, loaded := t.byKey.LoadOrStore(key, mk(key))
 			ctx := c.(*Context)
 			if !loaded {
-				t.count.Add(1)
 				if probed {
 					t.collisions.Add(1)
 				}
 				return ctx
 			}
-			// Lost the store race; the winner may still be us semantically.
+			// Lost the store race: release the slot. The winner may still
+			// be us semantically.
+			t.count.Add(-1)
 			if same(ctx) {
 				return ctx
 			}
@@ -230,10 +241,19 @@ func (t *Table) intern(key uint64, admit bool, same func(*Context) bool, mk func
 	}
 }
 
-// full reports whether the context budget (if any) is exhausted.
-func (t *Table) full() bool {
-	max := t.maxContexts.Load()
-	return max > 0 && t.count.Load() >= max
+// reserve claims one slot in count for a context about to be stored. It
+// fails only when the budget (if any) is exhausted and the admission is
+// not exempt.
+func (t *Table) reserve(exempt bool) bool {
+	for {
+		n := t.count.Load()
+		if max := t.maxContexts.Load(); !exempt && max > 0 && n >= max {
+			return false
+		}
+		if t.count.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
 }
 
 // SetMaxContexts installs the context budget: at most n distinct contexts
@@ -276,14 +296,24 @@ func (t *Table) staticSlow(label string) *Context {
 		return ctx
 	}
 	t.staticMu.Lock()
-	nm := make(map[string]*Context, 8)
-	if old := t.statics.Load(); old != nil {
-		for s, v := range *old {
-			nm[s] = v
+	if t.dirty == nil {
+		var read map[string]*Context
+		if m := t.statics.Load(); m != nil {
+			read = *m
+		}
+		t.dirty = make(map[string]*Context, len(read)+1)
+		for s, v := range read {
+			t.dirty[s] = v
 		}
 	}
-	nm[label] = ctx
-	t.statics.Store(&nm)
+	t.dirty[label] = ctx
+	// Publish once the misses since the last publish have paid for the
+	// copy that seeded dirty.
+	if t.misses++; t.misses >= len(t.dirty) {
+		m := t.dirty
+		t.statics.Store(&m)
+		t.dirty, t.misses = nil, 0
+	}
 	t.staticMu.Unlock()
 	return ctx
 }
@@ -315,9 +345,12 @@ func (t *Table) CaptureDynamic(skip, depth int) *Context {
 	}
 
 	// Symbolize before interning; duplicate work on a race is harmless
-	// because LoadOrStore is first-writer-wins.
+	// because LoadOrStore is first-writer-wins. Only the heap copy may
+	// reach runtime.CallersFrames: handing it pcbuf would move pcbuf to
+	// the heap and make every capture, hits included, allocate.
+	owned := append([]uintptr(nil), pcs...)
 	frames := make([]Frame, 0, n)
-	it := runtime.CallersFrames(pcs)
+	it := runtime.CallersFrames(owned)
 	for {
 		fr, more := it.Next()
 		frames = append(frames, Frame{Function: trimFunc(fr.Function), File: fr.File, Line: fr.Line})
@@ -325,9 +358,8 @@ func (t *Table) CaptureDynamic(skip, depth int) *Context {
 			break
 		}
 	}
-	owned := append([]uintptr(nil), pcs...) // pcbuf is stack memory
 	return t.intern(key, false,
-		func(c *Context) bool { return c.samePCs(pcs) },
+		func(c *Context) bool { return c.samePCs(owned) },
 		func(key uint64) *Context { return &Context{key: key, pcs: owned, frames: frames} })
 }
 
@@ -356,7 +388,8 @@ func (t *Table) Lookup(key uint64) *Context {
 // Len reports the number of interned contexts (one atomic load). With a
 // context budget installed this is bounded by MaxContexts()+1: budget
 // denials alias to the overflow context instead of interning, and the
-// overflow context itself rides on top of the budget.
+// overflow context itself rides on top of the budget. A first capture
+// still in flight may be counted a moment before it is stored.
 func (t *Table) Len() int {
 	return int(t.count.Load())
 }

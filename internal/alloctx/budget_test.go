@@ -73,10 +73,8 @@ func TestBudgetDynamicCapture(t *testing.T) {
 }
 
 // TestBudgetConcurrentBound hammers a full table from many goroutines: the
-// bound must hold (racy-exact admission may overshoot by at most the
-// number of simultaneous winners, which the +1 slack absorbs for the
-// overflow context itself, not for user contexts — so allow the
-// documented Len() <= MaxContexts()+1).
+// documented Len() <= MaxContexts()+1 must hold exactly, the +1 being the
+// budget-exempt overflow context, never a user context.
 func TestBudgetConcurrentBound(t *testing.T) {
 	tbl := NewTable()
 	tbl.SetMaxContexts(8)
@@ -91,8 +89,10 @@ func TestBudgetConcurrentBound(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	// Admission is checked before insertion under the same lock as the
-	// statics map in staticSlow; the documented bound is budget+overflow.
+	// Admission happens in intern, before the label reaches the statics
+	// memo: each new context claims a budget slot with a CAS on the
+	// table's count before it is stored, so racing first captures cannot
+	// overshoot the budget.
 	if n := tbl.Len(); n > tbl.MaxContexts()+1 {
 		t.Fatalf("concurrent table len = %d, want <= %d", n, tbl.MaxContexts()+1)
 	}
