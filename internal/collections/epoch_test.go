@@ -3,6 +3,7 @@ package collections
 import (
 	"sync"
 	"testing"
+	"unsafe"
 
 	"chameleon/internal/spec"
 )
@@ -121,5 +122,87 @@ func TestConcurrentFlushVsSnapshot(t *testing.T) {
 	p := prof.SnapshotContext(key)
 	if want := lives * opsPerLife; p.OpTotals[spec.Put] != want || p.OpTotals[spec.GetKey] != want {
 		t.Fatalf("final totals put=%d get=%d, want %d each", p.OpTotals[spec.Put], p.OpTotals[spec.GetKey], want)
+	}
+}
+
+// The epoch state lives in the wrapper header, so the header size is part
+// of the recording path's cost: growing it measurably slows plain
+// scan-heavy paths. Pin the 64-bit sizes.
+func TestWrapperHeaderSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("header sizes are pinned for 64-bit platforms")
+	}
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"Map[int,int]", unsafe.Sizeof(Map[int, int]{}), 144},
+		{"List[int]", unsafe.Sizeof(List[int]{}), 144},
+		{"Set[int]", unsafe.Sizeof(Set[int]{}), 152},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s header = %d bytes, want %d", c.name, c.got, c.want)
+		}
+	}
+}
+
+// A concurrent-native backing records through the shared path (straight to
+// the instance atomics), a sequential one through the owner-local epoch
+// buffer. Fed the same sequential op stream, both must leave the same
+// profile once the instance is freed.
+func TestSharedAndOwnerLocalRecordingAgree(t *testing.T) {
+	rt, prof, _ := profiledRuntime(t)
+	mapStream := func(label string, k spec.Kind) {
+		m := NewHashMap[int, int](rt, At(label), Impl(k))
+		_ = m.Iterator() // empty
+		for i := 0; i < 3*flushEvery; i++ {
+			m.Put(i%50, i)
+			m.Get(i % 7)
+			m.ContainsKey(i)
+		}
+		for i := 0; i < 20; i++ {
+			m.Remove(i)
+		}
+		_ = m.Iterator()
+		m.Clear()
+		m.Free()
+	}
+	listStream := func(label string, k spec.Kind) {
+		l := NewArrayList[int](rt, At(label), Impl(k))
+		_ = l.Iterator() // empty
+		for i := 0; i < 3*flushEvery; i++ {
+			l.Add(i)
+			l.Get(i / 2)
+			l.Contains(i % 9)
+		}
+		for i := 0; i < 20; i++ {
+			l.Remove(i)
+		}
+		_ = l.Iterator()
+		_ = l.ListIterator()
+		l.Clear()
+		l.Free()
+	}
+	mapStream("eq:owner-map", spec.KindHashMap)
+	mapStream("eq:shared-map", spec.KindShardedHashMap)
+	listStream("eq:owner-list", spec.KindArrayList)
+	listStream("eq:shared-list", spec.KindCowArrayList)
+
+	snap := prof.Snapshot()
+	for _, pair := range [][2]string{{"eq:owner-map", "eq:shared-map"}, {"eq:owner-list", "eq:shared-list"}} {
+		owner, shared := findByContext(t, snap, pair[0]), findByContext(t, snap, pair[1])
+		if owner.OpTotals != shared.OpTotals {
+			t.Errorf("%s vs %s: op totals differ:\n%v\n%v", pair[0], pair[1], owner.OpTotals, shared.OpTotals)
+		}
+		if owner.MaxSizeMax != shared.MaxSizeMax || owner.FinalSizeAvg != shared.FinalSizeAvg {
+			t.Errorf("%s vs %s: sizes differ: max %v/%v final %v/%v", pair[0], pair[1],
+				owner.MaxSizeMax, shared.MaxSizeMax, owner.FinalSizeAvg, shared.FinalSizeAvg)
+		}
+		if owner.EmptyIterators != 1 || shared.EmptyIterators != 1 {
+			t.Errorf("%s vs %s: empty iterators %d/%d, want 1/1", pair[0], pair[1], owner.EmptyIterators, shared.EmptyIterators)
+		}
+		if owner.Impl.Concurrent() || !shared.Impl.Concurrent() {
+			t.Errorf("%s vs %s: backings %v/%v, want sequential/concurrent", pair[0], pair[1], owner.Impl, shared.Impl)
+		}
 	}
 }

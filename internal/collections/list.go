@@ -321,7 +321,7 @@ func (l *List[T]) Clear() {
 // Iterator returns an iterator over a snapshot of the elements.
 func (l *List[T]) Iterator() *Iterator[T] {
 	n := l.impl.size()
-	l.noteIterator(n)
+	l.noteIterator(spec.Iterate, n, 1)
 	items := make([]T, 0, n)
 	l.impl.each(func(v T) bool {
 		items = append(items, v)
@@ -337,7 +337,7 @@ func (l *List[T]) Iterator() *Iterator[T] {
 // SinglyLinkedList rule can prove it unused in a context.
 func (l *List[T]) ListIterator() *ListIterator[T] {
 	n := l.impl.size()
-	l.noteListIterator(n)
+	l.noteIterator(spec.ListIterate, n, 2)
 	items := make([]T, 0, n)
 	l.impl.each(func(v T) bool {
 		items = append(items, v)

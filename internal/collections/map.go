@@ -199,7 +199,7 @@ func (mp *Map[K, V]) Clear() {
 // Iterator returns an iterator over a snapshot of the entries.
 func (mp *Map[K, V]) Iterator() *Iterator[Pair[K, V]] {
 	n := mp.impl.size()
-	mp.noteIterator(n)
+	mp.noteIterator(spec.Iterate, n, 1)
 	items := make([]Pair[K, V], 0, n)
 	mp.impl.each(func(k K, v V) bool {
 		items = append(items, Pair[K, V]{Key: k, Value: v})

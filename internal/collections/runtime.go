@@ -441,31 +441,44 @@ func sizeClassOf(n int32) int8 {
 }
 
 // base is the state shared by all collection wrappers. A wrapper (and hence
-// its base) is owned by one goroutine at a time; the shared structures it
-// reports into (heap, profiler, runtime policy) are the concurrent-safe parts.
+// its base) is owned by one goroutine at a time — unless its backing is
+// concurrent-native (ep.shared) — and the shared structures it reports into
+// (heap, profiler, runtime policy) are the concurrent-safe parts.
 type base struct {
 	rt     *Runtime
 	coll   heap.Collection
 	inst   *profiler.Instance
 	ticket *heap.Ticket
 	ctxKey uint64
+	ep     epoch
 
 	// tk is the ticket storage ticket points at when the runtime has a
 	// heap: embedding it in the wrapper header saves one heap object per
 	// collection. It must never be copied (it contains atomics).
-	//
-	// tk.Ep is the wrapper's epoch-batched profiling state (ops recorded
-	// since the last flush, last pushed size class, dirty flag). It is
-	// owner-local and deliberately non-atomic: only the owning goroutine
-	// touches it, and flush() drains the epoch into the shared atomic
-	// structures (inst, ticket) every flushEvery operations, at size-class
-	// crossings, and on free. The per-op pending counts themselves live
-	// inside the profiler Instance (heap-allocated and pooled), and the
-	// epoch scalars occupy Ticket padding, so a profiled wrapper's header
-	// is exactly as large as a plain one's — growing it measurably slows
-	// plain scan-heavy paths. tk.Ep is meaningful (and used) even when the
-	// runtime has no heap and tk is never registered.
 	tk heap.Ticket
+}
+
+// epoch is a wrapper's batched profiling state: operations recorded since
+// the last flush, the size after the latest mutation, the size class the
+// footprint was last pushed at, and whether that reading may be stale. It
+// is owner-local and deliberately non-atomic — only the owning goroutine
+// touches it, and flush drains the epoch into the shared atomic structures
+// (inst, ticket) every flushEvery operations, at size-class crossings, and
+// on free. The per-op pending counts live inside the profiler Instance
+// (heap-allocated and pooled), so the epoch stays 8 bytes.
+//
+// shared marks a wrapper backed by a concurrent-native implementation
+// (spec.Kind.Concurrent). It is set once at install time and read-only
+// after: many goroutines may record into such a wrapper at once, so every
+// operation goes straight to the instance's atomics and the owner-local
+// fields stay unused — except curSize, which the shared path accesses
+// atomically as its size-class latch.
+type epoch struct {
+	curSize   int32
+	opsPend   uint8
+	sizeClass int8
+	dirty     bool
+	shared    bool
 }
 
 // install wires a freshly constructed wrapper (which must implement
@@ -474,6 +487,7 @@ func (rt *Runtime) install(b *base, c heap.Collection, ctx *alloctx.Context, dec
 	b.rt = rt
 	b.coll = c
 	b.ctxKey = ctx.Key()
+	b.ep.shared = dec.Impl.Concurrent()
 	if rt == nil {
 		return
 	}
@@ -488,12 +502,6 @@ func (rt *Runtime) install(b *base, c heap.Collection, ctx *alloctx.Context, dec
 	if rt.heap != nil && tier <= governor.TierHeapOnly {
 		rt.heap.RegisterInto(c, &b.tk)
 		b.ticket = &b.tk
-	}
-	if dec.Impl.Concurrent() {
-		// Concurrent-native backing: route instrumentation onto the atomic
-		// shared path. Set after RegisterInto (which zeroes the epoch) and
-		// never written again — reads need no synchronization.
-		b.tk.Ep.Shared = true
 	}
 }
 
@@ -514,153 +522,111 @@ func (b *base) free() {
 	}
 }
 
-// recordRead counts a non-mutating operation in the owner-local pending
-// buffer; the atomic instance record only sees it at the next flush. The
-// nil check is kept in this thin wrapper so the unprofiled path inlines to
-// a single compare at every call site.
+// recordRead counts a non-mutating operation. The nil check is kept in
+// this thin wrapper so the unprofiled path inlines to a single compare at
+// every call site.
 func (b *base) recordRead(op spec.Op) {
 	if b.inst == nil {
 		return
 	}
-	b.bufferRead(op)
+	b.record(op)
 }
 
-func (b *base) bufferRead(op spec.Op) {
-	if b.tk.Ep.Shared {
-		b.sharedRecord(op)
-		return
-	}
-	b.inst.Buffer(op)
-	b.tk.Ep.OpsPend++
-	if b.tk.Ep.OpsPend >= flushEvery {
-		b.flush()
-	}
-}
-
-// afterMutate counts a mutating operation and notes the new size, both in
-// owner-local pending counters. The collection's footprint is recomputed
-// and pushed into its heap ticket only when the size crosses a power-of-two
-// size class or when the epoch flushes — not on every mutation — so the
-// GC's per-ticket cache is a bounded-staleness reading rather than an
-// exact one (see docs/CONCURRENCY.md). The push still happens entirely on
-// the owning goroutine, so concurrent cycles stay race-free.
+// afterMutate counts a mutating operation and notes the new size. The
+// collection's footprint is pushed into its heap ticket only when the size
+// crosses a power-of-two size class or when the epoch flushes — not on
+// every mutation — so the GC's per-ticket cache is a bounded-staleness
+// reading rather than an exact one (see docs/CONCURRENCY.md).
 func (b *base) afterMutate(op spec.Op, size int) {
 	// Thin wrapper so the unprofiled path inlines to two compares.
 	if b.inst == nil && b.ticket == nil {
 		return
 	}
-	b.bufferMutate(op, size)
+	b.mutate(op, size)
 }
 
-func (b *base) bufferMutate(op spec.Op, size int) {
-	ep := &b.tk.Ep
-	if ep.Shared {
-		b.sharedMutate(op, size)
+// record counts one operation into b.inst, which must be non-nil. An
+// owner-local wrapper buffers it and ticks the epoch; the atomic instance
+// record only sees it at the next flush. A shared wrapper records it
+// straight into the instance's atomics and also folds a goroutine-identity
+// observation into the owner-stability statistic: the owner-local path
+// samples at flush time, but shared wrappers never flush mid-life and must
+// keep producing cross-goroutine evidence, or the post-decision
+// verification windows would see the contention guard as violated and roll
+// a correct decision back.
+func (b *base) record(op spec.Op) {
+	in := b.inst
+	if b.ep.shared {
+		in.Record(op)
+		in.SampleOwner(gid.Hash())
 		return
 	}
-	ep.CurSize = int32(size)
-	if in := b.inst; in != nil {
-		in.Buffer(op)
-		in.BufferSize(ep.CurSize)
-	}
-	ep.Dirty = b.ticket != nil
-	ep.OpsPend++
-	if ep.OpsPend >= flushEvery {
+	in.Buffer(op)
+	b.tick()
+}
+
+// tick counts one owner-local operation and flushes at the epoch boundary.
+func (b *base) tick() {
+	b.ep.opsPend++
+	if b.ep.opsPend >= flushEvery {
 		b.flush()
+	}
+}
+
+// mutate is the body of afterMutate. The owner-local path buffers the size
+// and resyncs the ticket on a size-class crossing (a flush inside tick has
+// already resynced it and cleared dirty). The shared path publishes the
+// size to the instance atomics and latches the last-synced class in
+// ep.curSize with atomic accesses.
+func (b *base) mutate(op spec.Op, size int) {
+	ep := &b.ep
+	if ep.shared {
+		if in := b.inst; in != nil {
+			in.NoteSize(size)
+			b.record(op)
+		}
+		if b.ticket != nil {
+			sc := int32(sizeClassOf(int32(size)))
+			if atomic.LoadInt32(&ep.curSize) != sc {
+				// Benign race: concurrent crossers may both sync;
+				// Ticket.Sync is all atomic stores, so the worst case is a
+				// redundant push.
+				atomic.StoreInt32(&ep.curSize, sc)
+				b.ticket.Sync(b.coll.HeapFootprint(), b.coll.KindName())
+			}
+		}
 		return
 	}
-	if ep.Dirty && sizeClassOf(ep.CurSize) != ep.SizeClass {
+	ep.curSize = int32(size)
+	ep.dirty = b.ticket != nil
+	if in := b.inst; in != nil {
+		in.BufferSize(ep.curSize)
+		in.Buffer(op)
+	}
+	b.tick()
+	if ep.dirty && sizeClassOf(ep.curSize) != ep.sizeClass {
 		b.syncTicket()
 	}
 }
 
-// sharedRecord is the read-path instrumentation for wrappers backed by a
-// concurrent-native implementation (Ep.Shared). Many goroutines may operate
-// on such a wrapper at once, so nothing here may touch the owner-local
-// epoch state (Ep.OpsPend, the instance's pending buffer) — each operation
-// goes straight to the instance's atomic counters. Every shared op also
-// folds a goroutine-identity observation into the owner-stability
-// statistic: unlike the sequential path, which samples at flush time,
-// shared wrappers must keep producing cross-goroutine evidence or the
-// post-decision verification windows would see the contention guard as
-// violated and roll a correct decision back.
-func (b *base) sharedRecord(op spec.Op) {
-	in := b.inst
-	in.Record(op)
-	in.SampleOwner(gid.Hash())
-}
-
-// sharedMutate is the mutation-path counterpart of sharedRecord: it
-// additionally publishes the new size to the instance's atomic size
-// statistics and resyncs the heap ticket's cached footprint on size-class
-// crossings. The last-synced class is tracked in Ep.CurSize with atomic
-// accesses — on the shared path that field is otherwise unused (the
-// sequential flush machinery never runs), so it doubles as the class
-// latch without growing the ticket.
-func (b *base) sharedMutate(op spec.Op, size int) {
+// noteIterator counts an iterator creation (op is spec.Iterate, or
+// spec.ListIterate for the bidirectional list iterator, profiled separately
+// so the SinglyLinkedList rule can prove it unused), whether the collection
+// was empty (the Table 2 redundant-iterator rule), and the churn of the
+// iterator object: two pointers and ints int fields.
+func (b *base) noteIterator(op spec.Op, size int, ints int64) {
 	if in := b.inst; in != nil {
-		in.Record(op)
-		in.NoteSize(size)
-		in.SampleOwner(gid.Hash())
-	}
-	if b.ticket != nil {
-		sc := int32(sizeClassOf(int32(size)))
-		if atomic.LoadInt32(&b.tk.Ep.CurSize) != sc {
-			// Benign race: concurrent crossers may both sync; Ticket.Sync
-			// is all atomic stores, so the worst case is a redundant push.
-			atomic.StoreInt32(&b.tk.Ep.CurSize, sc)
-			b.ticket.Sync(b.coll.HeapFootprint(), b.coll.KindName())
-		}
-	}
-}
-
-// noteIterator counts an iterator creation, its churn, and whether the
-// collection was empty (the Table 2 redundant-iterator rule).
-func (b *base) noteIterator(size int) {
-	if in := b.inst; in != nil {
-		if b.tk.Ep.Shared {
-			b.sharedRecord(spec.Iterate)
-			if size == 0 {
-				in.AddEmptyIterators(1)
-			}
-		} else {
-			in.Buffer(spec.Iterate)
-			if size == 0 {
+		if size == 0 {
+			if b.ep.shared {
+				in.NoteEmptyIterator()
+			} else {
 				in.BufferEmptyIterator()
 			}
-			b.tk.Ep.OpsPend++
-			if b.tk.Ep.OpsPend >= flushEvery {
-				b.flush()
-			}
 		}
+		b.record(op)
 	}
 	if b.rt != nil && b.rt.heap != nil {
-		b.rt.heap.Allocated(b.rt.model.ObjectFields(2, 1))
-	}
-}
-
-// noteListIterator is noteIterator for the bidirectional list iterator,
-// profiled separately so the SinglyLinkedList rule can prove it unused.
-func (b *base) noteListIterator(size int) {
-	if in := b.inst; in != nil {
-		if b.tk.Ep.Shared {
-			b.sharedRecord(spec.ListIterate)
-			if size == 0 {
-				in.AddEmptyIterators(1)
-			}
-		} else {
-			in.Buffer(spec.ListIterate)
-			if size == 0 {
-				in.BufferEmptyIterator()
-			}
-			b.tk.Ep.OpsPend++
-			if b.tk.Ep.OpsPend >= flushEvery {
-				b.flush()
-			}
-		}
-	}
-	if b.rt != nil && b.rt.heap != nil {
-		b.rt.heap.Allocated(b.rt.model.ObjectFields(2, 2))
+		b.rt.heap.Allocated(b.rt.model.ObjectFields(2, ints))
 	}
 }
 
@@ -686,14 +652,14 @@ func (b *base) flush() {
 
 func (b *base) flushNow() {
 	if in := b.inst; in != nil {
-		in.FlushPending(int64(b.tk.Ep.CurSize))
+		in.FlushPending(int64(b.ep.curSize))
 		// Piggyback one goroutine-identity observation per flush: the
 		// owner-stability statistic costs a stack-address hash and two
 		// atomic ops every flushEvery operations, not per operation.
 		in.SampleOwner(gid.Hash())
 	}
-	b.tk.Ep.OpsPend = 0
-	if b.tk.Ep.Dirty {
+	b.ep.opsPend = 0
+	if b.ep.dirty {
 		b.syncTicket()
 	}
 }
@@ -704,7 +670,7 @@ func (b *base) syncTicket() {
 	if b.ticket == nil {
 		return
 	}
-	b.tk.Ep.SizeClass = sizeClassOf(b.tk.Ep.CurSize)
-	b.tk.Ep.Dirty = false
+	b.ep.sizeClass = sizeClassOf(b.ep.curSize)
+	b.ep.dirty = false
 	b.ticket.Sync(b.coll.HeapFootprint(), b.coll.KindName())
 }

@@ -223,7 +223,7 @@ func (s *Set[T]) Clear() {
 // Iterator returns an iterator over a snapshot of the elements.
 func (s *Set[T]) Iterator() *Iterator[T] {
 	n := s.impl.size()
-	s.noteIterator(n)
+	s.noteIterator(spec.Iterate, n, 1)
 	items := make([]T, 0, n)
 	s.impl.each(func(v T) bool {
 		items = append(items, v)

@@ -134,7 +134,7 @@ func TestOOMUnderGenerationalMode(t *testing.T) {
 	c := &fakeColl{f: Footprint{Live: 64}, kind: "X"}
 	tk := h.Register(c)
 	c.f.Live = 300
-	tk.Adjust(236) // pushes live past the limit
+	tk.Sync(c.f, "") // pushes live past the limit
 	t.Fatal("no OOM")
 }
 

@@ -22,8 +22,8 @@ import (
 // Under concurrent allocation the collector cannot safely consult a
 // semantic map while another goroutine mutates the collection, so the
 // heap reads footprints from each Ticket's cache instead: owners push a
-// fresh semantic-map reading through Ticket.Sync (or Ticket.Adjust) on
-// every footprint change, and GC cycles aggregate the cached readings.
+// fresh semantic-map reading through Ticket.Sync on every footprint
+// change, and GC cycles aggregate the cached readings.
 // HeapFootprint is therefore called by the heap only once, at Register
 // time, on the registering goroutine.
 type Collection interface {
@@ -243,15 +243,14 @@ func (h *Heap) Model() SizeModel { return h.model }
 // the collection from the live set (the simulator's analogue of the object
 // becoming unreachable). The ticket caches the collection's last reported
 // semantic-map reading (footprint, kind, context), which is what GC cycles
-// aggregate; owners keep it fresh via Sync or Adjust.
+// aggregate; owners keep it fresh via Sync.
 //
-// A ticket is owned by the goroutine that owns its collection: Sync,
-// Adjust and Free may not be called concurrently with each other.
+// A ticket is owned by the goroutine that owns its collection: Sync and
+// Free may not be called concurrently with each other.
 type Ticket struct {
 	h      *Heap
 	sh     *shard
 	slot   int32
-	Ep     TicketEpoch
 	region int8 // 0 young, 1 old
 	age    int8 // minor cycles survived (generational mode)
 
@@ -265,32 +264,6 @@ type Ticket struct {
 	core   atomic.Int64
 	kind   atomic.Pointer[string]
 	ctxKey uint64
-}
-
-// TicketEpoch is the owner-local epoch state of the batched publication path
-// (the collections wrappers; see docs/CONCURRENCY.md "Epoch-batched
-// profiling"): how many operations were recorded since the last flush, the
-// size and size class the footprint was last pushed at, and whether the
-// cached reading may have gone stale. It is a plain exported field group so
-// the wrapper hot path updates it with direct stores, and it sits inside
-// Ticket to occupy what would otherwise be padding — a profiled wrapper's
-// header stays exactly as large as a plain one's, which measurably matters
-// on scan-heavy plain paths.
-//
-// Like the rest of the ticket's owner-side state it must only be touched by
-// the owning goroutine; GC cycles and snapshots never read it.
-type TicketEpoch struct {
-	CurSize   int32 // size after the latest mutation
-	OpsPend   uint8 // operations recorded since the last flush
-	SizeClass int8  // size class of the last footprint push
-	Dirty     bool  // the footprint may have moved since the last push
-	// Shared marks a wrapper backed by a concurrent-native implementation
-	// (spec.Kind.Concurrent). Set once at install time, read-only after:
-	// it routes the wrapper's instrumentation onto the atomic shared path,
-	// because the owner-local fields above assume a single owner. It packs
-	// into what was the struct's final padding byte, keeping the epoch
-	// state — and the wrapper header — exactly 8 bytes.
-	Shared bool
 }
 
 // kindInterns interns kind-name strings so tickets can publish kind changes
@@ -328,7 +301,7 @@ func internKind(k string) *string {
 
 // Register adds a collection to the live set (young region) and returns
 // its ticket. The collection's semantic map is consulted once, on the
-// calling goroutine; later changes must be pushed through Sync or Adjust.
+// calling goroutine; later changes must be pushed through Sync.
 func (h *Heap) Register(c Collection) *Ticket {
 	t := new(Ticket)
 	h.RegisterInto(c, t)
@@ -346,7 +319,6 @@ func (h *Heap) RegisterInto(c Collection, t *Ticket) {
 	t.ctxKey = c.ContextKey()
 	t.region = 0
 	t.age = 0
-	t.Ep = TicketEpoch{}
 	t.live.Store(f.Live)
 	t.used.Store(f.Used)
 	t.core.Store(f.Core)
@@ -392,24 +364,6 @@ func (t *Ticket) Free() {
 	sh.mu.Unlock()
 	t.h = nil
 	h.collLive.Add(-t.live.Load())
-}
-
-// Adjust records a change of delta live bytes for the ticketed collection
-// (called by integrations when they grow or shrink). Positive deltas count
-// as allocation volume and may trigger a GC cycle. Adjust shifts only the
-// live measure of the cached footprint; integrations that track used/core
-// bytes should prefer Sync.
-func (t *Ticket) Adjust(delta int64) {
-	h := t.h
-	if h == nil {
-		return
-	}
-	t.live.Add(delta)
-	h.collLive.Add(delta)
-	if delta > 0 {
-		h.bumpPeak()
-		h.Allocated(delta)
-	}
 }
 
 // Sync pushes a fresh semantic-map reading for the ticketed collection:

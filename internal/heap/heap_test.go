@@ -180,12 +180,12 @@ func TestHeapPeakAndMinimalHeap(t *testing.T) {
 	}
 }
 
-func TestTicketAdjustTracksGrowth(t *testing.T) {
+func TestTicketSyncTracksGrowth(t *testing.T) {
 	h := New(Config{GCThreshold: 1 << 40})
 	c := &fakeColl{f: Footprint{Live: 64, Used: 64, Core: 64}}
 	tk := h.Register(c)
 	c.f = Footprint{Live: 128, Used: 100, Core: 80}
-	tk.Adjust(64)
+	tk.Sync(c.f, "")
 	if h.LiveBytes() != 128 {
 		t.Fatalf("live bytes = %d, want 128", h.LiveBytes())
 	}

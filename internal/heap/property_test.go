@@ -7,7 +7,7 @@ import (
 )
 
 // Model-based property test: under any random sequence of register /
-// adjust / free / GC operations, the heap's running live estimate matches
+// sync / free / GC operations, the heap's running live estimate matches
 // the sum of the live collections' reported footprints, and the peak never
 // decreases.
 func TestHeapLiveInvariantUnderRandomOps(t *testing.T) {
@@ -46,7 +46,7 @@ func TestHeapLiveInvariantUnderRandomOps(t *testing.T) {
 						delta = -e.c.f.Live
 					}
 					e.c.f.Live += delta
-					e.tk.Adjust(delta)
+					e.tk.Sync(e.c.f, "")
 				}
 			case 3:
 				if len(live) > 0 {
@@ -79,7 +79,7 @@ func TestHeapLiveInvariantUnderRandomOps(t *testing.T) {
 				}
 			}
 			// After a GC the estimate is exact; between GCs it must still
-			// match because every change goes through Adjust.
+			// match because every change goes through Sync.
 			if got, want := h.LiveBytes(), exactCollBytes()+dataBytes; got != want {
 				t.Fatalf("trial %d step %d (gen=%v): live estimate %d != exact %d",
 					trial, step, generational, got, want)

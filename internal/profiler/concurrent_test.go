@@ -89,3 +89,32 @@ func TestProfilerSnapshotUnderConcurrency(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// Shared wrappers (concurrent-native backings) call NoteSize from many
+// goroutines at once, so raising the maximal size must be atomic: a
+// smaller concurrent size may never overwrite a larger one.
+func TestConcurrentNoteSizeKeepsMax(t *testing.T) {
+	const goroutines = 8
+	rounds := 20000
+	if testing.Short() {
+		rounds = 2000
+	}
+	for r := 0; r < rounds; r++ {
+		in := new(Instance)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 1; g <= goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				in.NoteSize(g)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if got := in.maxSize.Load(); got != goroutines {
+			t.Fatalf("round %d: max size = %d, want %d", r, got, goroutines)
+		}
+	}
+}

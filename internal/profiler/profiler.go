@@ -29,9 +29,12 @@ import (
 )
 
 // Instance is the per-collection-object usage record — the paper's
-// ObjectContextInfo (§4.2). It is owned by a single collection wrapper;
-// only the owner mutates it, but snapshot readers may observe it mid-flight,
-// so the counters are atomic.
+// ObjectContextInfo (§4.2). It is owned by a single collection wrapper and
+// recorded into in one of two modes. The direct mode (Record, NoteSize,
+// NoteEmptyIterator, SampleOwner) writes the atomic counters and is safe
+// from many goroutines at once; wrappers over concurrent-native backings
+// use it. The batched mode (the Buffer* methods, drained by FlushPending)
+// is owner-only. Snapshot readers may observe the atomics mid-flight.
 type Instance struct {
 	p          *Profiler
 	info       *ContextInfo
@@ -83,20 +86,30 @@ func (in *Instance) Record(op spec.Op) {
 }
 
 // NoteSize records the collection's size after an operation, maintaining
-// the maximal-size and final-size trace statistics.
+// the maximal-size and final-size trace statistics. Shared wrappers call it
+// from many goroutines at once.
 func (in *Instance) NoteSize(n int) {
 	if in == nil {
 		return
 	}
-	s := int64(n)
-	// The owner is the only writer, so plain load-then-store suffices; the
-	// load-guards skip the (much more expensive) atomic stores when the
-	// size did not move, which is the common case for overwrites.
-	if s > in.maxSize.Load() {
-		in.maxSize.Store(s)
+	in.mergeSizes(int64(n), int64(n))
+}
+
+// mergeSizes merges size observations into the atomic statistics: max is
+// the largest size observed since the previous merge, final the size after
+// the latest mutation. It serves both recording modes. The max rises
+// through a CAS loop, because on the shared path a plain load-then-store
+// would let a smaller concurrent size overwrite a larger one. The
+// load-guards skip the (much more expensive) atomic writes when nothing
+// moved, which is the common case for overwrites.
+func (in *Instance) mergeSizes(max, final int64) {
+	for cur := in.maxSize.Load(); max > cur; cur = in.maxSize.Load() {
+		if in.maxSize.CompareAndSwap(cur, max) {
+			break
+		}
 	}
-	if in.finalSize.Load() != s {
-		in.finalSize.Store(s)
+	if in.finalSize.Load() != final {
+		in.finalSize.Store(final)
 	}
 }
 
@@ -133,41 +146,6 @@ func (in *Instance) SampleOwner(h uint64) {
 	in.ownerSamples.Add(1)
 }
 
-// AddOp adds n occurrences of op in a single atomic update. This is the
-// flush half of the epoch-batched recording path: collection wrappers
-// accumulate per-op counts in plain owner-local counters and drain them
-// here every K operations instead of paying one atomic add per operation.
-func (in *Instance) AddOp(op spec.Op, n int64) {
-	if in == nil || n == 0 {
-		return
-	}
-	in.ops[op].Add(n)
-}
-
-// SyncSizes merges one flushed batch's size observations: max is the
-// largest size observed since the previous flush, final the size after the
-// batch's last mutation.
-func (in *Instance) SyncSizes(max, final int64) {
-	if in == nil {
-		return
-	}
-	if max > in.maxSize.Load() {
-		in.maxSize.Store(max)
-	}
-	if in.finalSize.Load() != final {
-		in.finalSize.Store(final)
-	}
-}
-
-// AddEmptyIterators adds n empty-iterator observations in one update (the
-// batched form of NoteEmptyIterator).
-func (in *Instance) AddEmptyIterators(n int64) {
-	if in == nil || n == 0 {
-		return
-	}
-	in.emptyIters.Add(n)
-}
-
 // Buffer counts one operation in the owner-local pending buffer; snapshot
 // readers only see it at the next FlushPending. Owner-only, non-atomic.
 func (in *Instance) Buffer(op spec.Op) {
@@ -200,7 +178,7 @@ func (in *Instance) FlushPending(final int64) {
 	}
 	in.pend.mask = 0
 	if in.pend.sizeDirty {
-		in.SyncSizes(int64(in.pend.max), final)
+		in.mergeSizes(int64(in.pend.max), final)
 		in.pend.sizeDirty = false
 		in.pend.max = 0
 	}

@@ -35,7 +35,8 @@ func TestRecycledInstanceStartsClean(t *testing.T) {
 	}
 }
 
-// The batched flush entry points must agree with their per-op counterparts.
+// The batched mode (Buffer*, drained by FlushPending — the path owner-local
+// wrappers take) must agree with the direct per-op mode.
 func TestBatchedRecordingMatchesDirect(t *testing.T) {
 	p := New()
 	tab := alloctx.NewTable()
@@ -51,9 +52,20 @@ func TestBatchedRecordingMatchesDirect(t *testing.T) {
 	direct.NoteEmptyIterator()
 	direct.NoteEmptyIterator()
 
-	batched.AddOp(spec.Add, 5)
-	batched.SyncSizes(9, 4)
-	batched.AddEmptyIterators(2)
+	// Two epochs, as the wrappers flush them: the second epoch's smaller
+	// max must not lower the first's.
+	for i := 0; i < 3; i++ {
+		batched.Buffer(spec.Add)
+	}
+	batched.BufferSize(3)
+	batched.BufferSize(9)
+	batched.FlushPending(9)
+	batched.Buffer(spec.Add)
+	batched.Buffer(spec.Add)
+	batched.BufferSize(4)
+	batched.BufferEmptyIterator()
+	batched.BufferEmptyIterator()
+	batched.FlushPending(4)
 
 	p.OnDeath(direct)
 	p.OnDeath(batched)
