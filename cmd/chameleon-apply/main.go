@@ -15,13 +15,7 @@
 //	                                                 # rewritten tree's checksum
 //	                                                 # matches the reference run
 //
-// Exit codes form a contract scripts can dispatch on, aligned with
-// chameleon-sites and chameleon-rules:
-//
-//	0  success
-//	1  runtime failure, stale snapshot contexts, or a verify mismatch
-//	2  usage error
-//	3  an input does not load (packages, snapshot, rules, manifest)
+// Run with -h for the flags and the exit-code contract.
 package main
 
 import (
@@ -33,31 +27,34 @@ import (
 
 	"chameleon/internal/analysis"
 	"chameleon/internal/apply"
+	"chameleon/internal/cli"
 	"chameleon/internal/profiler"
-	"chameleon/internal/rules"
 )
 
-const (
-	exitOK       = 0
-	exitFailure  = 1 // runtime failure, stale snapshot, verify mismatch
-	exitUsage    = 2
-	exitBadInput = 3 // packages, snapshot, rules, or manifest fail to load
-)
+var command = &cli.Command{
+	Name: "chameleon-apply",
+	Synopsis: `chameleon-apply -profile F [flags] [packages]
 
-func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+Rewrites safe, decided allocation sites ahead of time from a
+profile/decision snapshot: replacements move to the concrete NewFixed*
+constructors (profiling removed), capacity decisions update Cap in place
+(docs/SPECIALIZE.md). The advisor evaluates the builtin rule set unless
+-rules or -extended chooses another.`,
+	Exits: map[int]string{
+		cli.Failure:  "runtime failure, stale snapshot contexts, or a verify mismatch",
+		cli.BadInput: "an input does not load (packages, snapshot, rules file, manifest)",
+	},
+	Setup: setup,
 }
 
-// run executes a full command line and reports the process exit status.
-// It is the testable entry point: main only binds it to os.
-func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("chameleon-apply", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+func main() {
+	os.Exit(command.Run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func setup(fs *flag.FlagSet) cli.Body {
 	dir := fs.String("dir", ".", "directory to resolve package patterns in")
 	profilePath := fs.String("profile", "", "decision/profile snapshot to apply (required)")
-	rulesFile := fs.String("rules", "", "rule file the advisor evaluates")
-	builtin := fs.Bool("builtin", false, "use the shipped builtin rule set (the default)")
-	extended := fs.Bool("extended", false, "use the shipped extended rule set")
+	src := cli.RuleFlags(fs, cli.RulesFlag|cli.BuiltinFlag|cli.ExtendedFlag)
 	minPotential := fs.Int64("min-potential", -1, "advisor space-potential gate in bytes; -1 disables it (source rewrites are churn-motivated too), 0 selects the advisor default")
 	manifestPath := fs.String("manifest", "", "gate rewrites against a chameleon-sites manifest; divergence is exit 3")
 	diff := fs.Bool("diff", false, "print the rewrite as a unified diff")
@@ -66,131 +63,75 @@ func run(args []string, stdout, stderr io.Writer) int {
 	scale := fs.Int("scale", 0, "workload scale for -verify (0 = the workload default)")
 	all := fs.Bool("all", false, "list skipped sites too, with reasons")
 	allowStale := fs.Bool("allow-stale", false, "tolerate snapshot contexts that join no site (default: exit 1)")
-	fs.Usage = func() { usage(stderr) }
-	if err := fs.Parse(args); err != nil {
-		return exitUsage
-	}
-	patterns := fs.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	if *profilePath == "" {
-		fmt.Fprintln(stderr, "chameleon-apply: -profile is required")
-		usage(stderr)
-		return exitUsage
-	}
-
-	opts := apply.Options{Dir: *dir, Patterns: patterns, MinPotential: *minPotential}
-
-	sources := 0
-	for _, set := range []bool{*builtin, *extended, *rulesFile != ""} {
-		if set {
-			sources++
+	return func(patterns []string, stdout, stderr io.Writer) error {
+		if len(patterns) == 0 {
+			patterns = []string{"./..."}
 		}
-	}
-	switch {
-	case sources > 1:
-		fmt.Fprintln(stderr, "chameleon-apply: choose one of -rules, -builtin, or -extended")
-		return exitUsage
-	case *extended:
-		opts.Rules = rules.Extended()
-	case *rulesFile != "":
-		src, err := os.ReadFile(*rulesFile)
-		if err != nil {
-			fmt.Fprintln(stderr, "chameleon-apply:", err)
-			return exitBadInput
+		if *profilePath == "" {
+			return cli.Errorf(cli.Usage, "-profile is required")
 		}
-		rs, err := rules.Parse(string(src))
-		if err != nil {
-			fmt.Fprintln(stderr, "chameleon-apply:", err)
-			return exitBadInput
+		opts := apply.Options{Dir: *dir, Patterns: patterns, MinPotential: *minPotential}
+		var err error
+		if opts.Rules, err = src.Load(nil, cli.BadInput); err != nil {
+			return err
 		}
-		opts.Rules = rs
-	default: // -builtin, or nothing: the builtin set
-		opts.Rules = rules.Builtin()
-	}
-
-	f, err := os.Open(*profilePath)
-	if err != nil {
-		fmt.Fprintln(stderr, "chameleon-apply:", err)
-		return exitBadInput
-	}
-	profiles, err := profiler.ReadProfiles(f)
-	f.Close()
-	if err != nil {
-		fmt.Fprintln(stderr, "chameleon-apply:", err)
-		return exitBadInput
-	}
-	opts.Profiles = profiles
-
-	if *manifestPath != "" {
-		m, err := analysis.ReadManifestFile(*manifestPath)
-		if err != nil {
-			fmt.Fprintln(stderr, "chameleon-apply:", err)
-			return exitBadInput
+		if opts.Profiles, err = profiler.ReadProfilesFile(*profilePath); err != nil {
+			return cli.Exit(cli.BadInput, err)
 		}
-		opts.Manifest = m
-	}
-
-	res, err := apply.Run(opts)
-	if err != nil {
-		if le, ok := err.(*analysis.LoadError); ok {
-			for _, p := range le.Problems {
-				fmt.Fprintln(stderr, "chameleon-apply:", p)
+		if *manifestPath != "" {
+			if opts.Manifest, err = analysis.ReadManifestFile(*manifestPath); err != nil {
+				return cli.Exit(cli.BadInput, err)
 			}
-			return exitBadInput
 		}
-		fmt.Fprintln(stderr, "chameleon-apply:", err)
-		var mm *apply.ManifestMismatchError
-		if errors.As(err, &mm) {
-			return exitBadInput
-		}
-		return exitFailure
-	}
 
-	// A decided context that joins no site means the snapshot and the
-	// tree disagree — rewriting against it would apply someone else's
-	// decisions. Refuse before any output side effect.
-	if len(res.Stale) > 0 {
+		res, err := apply.Run(opts)
+		var le *analysis.LoadError
+		var mm *apply.ManifestMismatchError
+		if errors.As(err, &le) || errors.As(err, &mm) {
+			return cli.Exit(cli.BadInput, err)
+		}
+		if err != nil {
+			return err
+		}
+
+		// A decided context that joins no site means the snapshot and the
+		// tree disagree — rewriting against it would apply someone else's
+		// decisions. Refuse before any output side effect.
 		for _, label := range res.Stale {
 			fmt.Fprintf(stderr, "chameleon-apply: stale snapshot context %s joins no allocation site\n", label)
 		}
-		if !*allowStale {
-			fmt.Fprintln(stderr, "chameleon-apply: refusing to rewrite from a stale snapshot (-allow-stale to override)")
-			return exitFailure
+		if len(res.Stale) > 0 && !*allowStale {
+			return errors.New("refusing to rewrite from a stale snapshot (-allow-stale to override)")
 		}
-	}
 
-	if *verify != "" {
-		v, err := apply.Verify(*dir, res.Files, *verify, *scale)
-		if err != nil {
-			fmt.Fprintln(stderr, "chameleon-apply:", err)
-			return exitFailure
+		if *verify != "" {
+			v, err := apply.Verify(*dir, res.Files, *verify, *scale)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintln(stdout, v)
+			if !v.OK() {
+				return errors.New("rewritten tree diverges from the reference run; not writing")
+			}
 		}
-		fmt.Fprintln(stdout, v)
-		if !v.OK() {
-			fmt.Fprintln(stderr, "chameleon-apply: rewritten tree diverges from the reference run; not writing")
-			return exitFailure
-		}
-	}
 
-	switch {
-	case *diff:
-		fmt.Fprint(stdout, apply.Diff(*dir, res.Files))
-	case !*write:
-		listDecisions(stdout, res, *all)
-	}
-	if *write {
-		if err := apply.WriteFiles(res.Files); err != nil {
-			fmt.Fprintln(stderr, "chameleon-apply:", err)
-			return exitFailure
+		switch {
+		case *diff:
+			fmt.Fprint(stdout, apply.Diff(*dir, res.Files))
+		case !*write:
+			listDecisions(stdout, res, *all)
 		}
+		if *write {
+			if err := apply.WriteFiles(res.Files); err != nil {
+				return err
+			}
+		}
+		if !*diff {
+			fmt.Fprintf(stdout, "%d sites: %d replaced, %d retuned, %d skipped; %d files rewritten\n",
+				len(res.Sites), res.Replaced(), res.Retuned(), res.Skipped(), len(res.Files))
+		}
+		return nil
 	}
-	if !*diff {
-		fmt.Fprintf(stdout, "%d sites: %d replaced, %d retuned, %d skipped; %d files rewritten\n",
-			len(res.Sites), res.Replaced(), res.Retuned(), res.Skipped(), len(res.Files))
-	}
-	return exitOK
 }
 
 // listDecisions prints one line per rewrite decision (and per skip with
@@ -202,36 +143,4 @@ func listDecisions(w io.Writer, res *apply.Result, all bool) {
 		}
 		fmt.Fprintf(w, "%s: %s: %s\n", d.Site.ID, d.Status, d.Reason)
 	}
-}
-
-func usage(w io.Writer) int {
-	fmt.Fprint(w, `usage: chameleon-apply -profile F [flags] [packages]
-
-Rewrites safe, decided allocation sites ahead of time from a
-profile/decision snapshot: replacements move to the concrete NewFixed*
-constructors (profiling removed), capacity decisions update Cap in place
-(docs/SPECIALIZE.md).
-
-flags:
-  -dir D            directory to resolve package patterns in (default ".")
-  -profile F        decision/profile snapshot to apply (required)
-  -rules F          rule file the advisor evaluates
-  -builtin          use the shipped builtin rule set (the default)
-  -extended         use the shipped extended rule set
-  -min-potential N  advisor space gate in bytes; -1 disables (default), 0 = advisor default
-  -manifest F       gate rewrites against a chameleon-sites manifest
-  -diff             print the rewrite as a unified diff
-  -write            write rewritten files in place (temp+rename)
-  -verify W         require the rewritten tree to reproduce workload W's checksum
-  -scale N          workload scale for -verify (0 = workload default)
-  -all              list skipped sites too, with reasons
-  -allow-stale      tolerate snapshot contexts that join no site
-
-exit codes:
-  0  success
-  1  runtime failure, stale snapshot contexts, or a verify mismatch
-  2  usage error
-  3  an input does not load (packages, snapshot, rules file, manifest)
-`)
-	return exitUsage
 }

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"chameleon/internal/alloctx"
+	"chameleon/internal/cli"
+	"chameleon/internal/cli/clitest"
 	"chameleon/internal/collections"
 	"chameleon/internal/heap"
 	"chameleon/internal/profiler"
@@ -74,37 +76,44 @@ func writeBogusSnapshot(t *testing.T) string {
 func runCLI(t *testing.T, args ...string) (int, string, string) {
 	t.Helper()
 	var stdout, stderr bytes.Buffer
-	code := run(args, &stdout, &stderr)
+	code := command.Run(args, &stdout, &stderr)
 	return code, stdout.String(), stderr.String()
 }
 
 func TestUsageErrors(t *testing.T) {
-	if code, _, _ := runCLI(t); code != exitUsage {
-		t.Fatalf("no -profile: exit %d, want %d", code, exitUsage)
+	if code, _, _ := runCLI(t); code != cli.Usage {
+		t.Fatalf("no -profile: exit %d, want %d", code, cli.Usage)
 	}
-	if code, _, _ := runCLI(t, "-no-such-flag"); code != exitUsage {
-		t.Fatalf("unknown flag: exit %d, want %d", code, exitUsage)
+	if code, _, _ := runCLI(t, "-no-such-flag"); code != cli.Usage {
+		t.Fatalf("unknown flag: exit %d, want %d", code, cli.Usage)
 	}
-	if code, _, _ := runCLI(t, "-profile", "p.json", "-builtin", "-extended"); code != exitUsage {
-		t.Fatalf("two rule sources: exit %d, want %d", code, exitUsage)
+	if code, _, _ := runCLI(t, "-profile", "p.json", "-builtin", "-extended"); code != cli.Usage {
+		t.Fatalf("two rule sources: exit %d, want %d", code, cli.Usage)
 	}
 }
 
 func TestBadInputs(t *testing.T) {
 	root := repoRoot(t)
-	if code, _, _ := runCLI(t, "-profile", filepath.Join(t.TempDir(), "absent.json")); code != exitBadInput {
-		t.Fatalf("missing snapshot: exit %d, want %d", code, exitBadInput)
+	if code, _, _ := runCLI(t, "-profile", filepath.Join(t.TempDir(), "absent.json")); code != cli.BadInput {
+		t.Fatalf("missing snapshot: exit %d, want %d", code, cli.BadInput)
 	}
 	garbage := filepath.Join(t.TempDir(), "garbage.json")
 	if err := os.WriteFile(garbage, []byte("{not a snapshot"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if code, _, _ := runCLI(t, "-profile", garbage); code != exitBadInput {
-		t.Fatalf("corrupt snapshot: exit %d, want %d", code, exitBadInput)
+	if code, _, _ := runCLI(t, "-profile", garbage); code != cli.BadInput {
+		t.Fatalf("corrupt snapshot: exit %d, want %d", code, cli.BadInput)
 	}
 	snap := writeSnapshot(t, "pmd", 10)
-	if code, _, _ := runCLI(t, "-dir", root, "-profile", snap, "./does/not/exist/..."); code != exitBadInput {
-		t.Fatalf("bad pattern: exit %d, want %d", code, exitBadInput)
+	if code, _, _ := runCLI(t, "-dir", root, "-profile", snap, "./does/not/exist/..."); code != cli.BadInput {
+		t.Fatalf("bad pattern: exit %d, want %d", code, cli.BadInput)
+	}
+	vocab := filepath.Join(t.TempDir(), "vocab.cham")
+	if err := os.WriteFile(vocab, []byte("ArrayList : #frob > X -> LinkedList\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, _, _ := runCLI(t, "-dir", root, "-profile", snap, "-rules", vocab, "./internal/workloads"); code != cli.BadInput {
+		t.Fatalf("rules failing vocabulary checks: exit %d, want %d", code, cli.BadInput)
 	}
 }
 
@@ -113,7 +122,7 @@ func TestListAndDiff(t *testing.T) {
 	snap := writeSnapshot(t, "pmd", 20)
 
 	code, out, _ := runCLI(t, "-dir", root, "-profile", snap, "./internal/workloads")
-	if code != exitOK {
+	if code != cli.OK {
 		t.Fatalf("list run: exit %d", code)
 	}
 	if !strings.Contains(out, "replace: replace NewArrayList with NewFixedLazyArrayList") {
@@ -124,7 +133,7 @@ func TestListAndDiff(t *testing.T) {
 	}
 
 	code, out, _ = runCLI(t, "-dir", root, "-profile", snap, "-diff", "./internal/workloads")
-	if code != exitOK {
+	if code != cli.OK {
 		t.Fatalf("diff run: exit %d", code)
 	}
 	for _, want := range []string{
@@ -151,8 +160,8 @@ func TestStaleSnapshotFailsClosed(t *testing.T) {
 
 	code, _, errOut := runCLI(t, "-dir", root, "-profile", snap,
 		"-verify", "pmd", "-scale", "5", "-write", "./internal/workloads")
-	if code != exitFailure {
-		t.Fatalf("stale snapshot: exit %d, want %d\n%s", code, exitFailure, errOut)
+	if code != cli.Failure {
+		t.Fatalf("stale snapshot: exit %d, want %d\n%s", code, cli.Failure, errOut)
 	}
 	if !strings.Contains(errOut, "stale snapshot context") {
 		t.Fatalf("stderr does not name the stale context:\n%s", errOut)
@@ -168,7 +177,11 @@ func TestStaleSnapshotFailsClosed(t *testing.T) {
 	// -allow-stale downgrades the failure; with nothing decided joining
 	// a site there is nothing to rewrite, and the run succeeds.
 	code, _, _ = runCLI(t, "-dir", root, "-profile", snap, "-allow-stale", "./internal/workloads")
-	if code != exitOK {
-		t.Fatalf("-allow-stale: exit %d, want %d", code, exitOK)
+	if code != cli.OK {
+		t.Fatalf("-allow-stale: exit %d, want %d", code, cli.OK)
 	}
+}
+
+func TestUsageListsEveryFlag(t *testing.T) {
+	clitest.CheckUsage(t, command)
 }

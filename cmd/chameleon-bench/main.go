@@ -22,131 +22,128 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
+	"chameleon/internal/cli"
 	"chameleon/internal/experiments"
 	"chameleon/internal/workloads"
 )
 
+var command = &cli.Command{
+	Name:     "chameleon-bench",
+	Synopsis: "chameleon-bench [-experiment E] [-scale N] [-reps R]",
+	Setup:    setup,
+}
+
 func main() {
-	var (
-		experiment = flag.String("experiment", "all", "fig2|fig3|fig6|fig7|fig8|sweep|calibrate|plan|auto|all")
-		scale      = flag.Int("scale", 0, "override every workload's scale (0 = defaults)")
-		reps       = flag.Int("reps", 3, "timing repetitions (median is reported)")
-	)
-	flag.Parse()
+	os.Exit(command.Run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	scales := map[string]int{}
-	if *scale > 0 {
-		for _, s := range workloads.All() {
-			scales[s.Name] = *scale
+func setup(fs *flag.FlagSet) cli.Body {
+	experiment := fs.String("experiment", "all", "fig2|fig3|fig6|fig7|fig8|sweep|calibrate|plan|auto|all")
+	scale := fs.Int("scale", 0, "override every workload's scale (0 = defaults)")
+	reps := fs.Int("reps", 3, "timing repetitions (median is reported)")
+	return func(_ []string, stdout, _ io.Writer) error {
+		scales := map[string]int{}
+		if *scale > 0 {
+			for _, s := range workloads.All() {
+				scales[s.Name] = *scale
+			}
 		}
-	}
-
-	run := func(name string, f func() error) {
-		fmt.Printf("== %s ==\n", name)
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "chameleon-bench: %s: %v\n", name, err)
-			os.Exit(1)
-		}
-		fmt.Println()
-	}
-
-	want := func(name string) bool { return *experiment == name || *experiment == "all" }
-
-	if want("fig2") {
-		run("Fig. 2: TVLA collections as % of live data per GC cycle", func() error {
-			pts, err := experiments.Fig2(*scale)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiments.FormatSeries(pts, len(pts)/40+1))
-			return nil
-		})
-	}
-	if want("fig3") {
-		run("Fig. 3 + §2.1: TVLA top contexts and suggestions", func() error {
-			res, err := experiments.Fig3(*scale)
-			if err != nil {
-				return err
-			}
-			fmt.Print(res.Format())
-			return nil
-		})
-	}
-	if want("fig6") {
-		run("Fig. 6: minimal-heap improvement per benchmark", func() error {
-			rows, err := experiments.Fig6(scales)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiments.FormatFig6(rows))
-			return nil
-		})
-	}
-	if want("fig7") {
-		run("Fig. 7: running-time improvement per benchmark", func() error {
-			rows, err := experiments.Fig7(scales, *reps)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiments.FormatFig7(rows))
-			return nil
-		})
-	}
-	if want("fig8") {
-		run("Fig. 8: bloat collections spike", func() error {
-			pts, err := experiments.Fig8(*scale)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiments.FormatSeries(pts, len(pts)/40+1))
-			return nil
-		})
-	}
-	if want("sweep") {
-		run("§2.3: SizeAdapting conversion-threshold sweep on TVLA", func() error {
-			rows, base, err := experiments.Sweep(nil, *scale, *reps)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiments.FormatSweep(rows, base))
-			return nil
-		})
-	}
-	if want("calibrate") {
-		run("§3.3.1: per-environment rule-constant calibration (Z)", func() error {
-			fmt.Print(experiments.FormatCalibration(experiments.Calibrate(nil, 0, *reps)))
-			return nil
-		})
-	}
-	if want("plan") {
-		run("§3.3.2: tool-applied plan (profile -> plan -> re-run)", func() error {
-			for _, name := range []string{"tvla", "findbugs"} {
-				r, err := experiments.ProfileThenApply(name, *scale)
+		steps := []struct {
+			name, title string
+			run         func() error
+		}{
+			{"fig2", "Fig. 2: TVLA collections as % of live data per GC cycle", func() error {
+				pts, err := experiments.Fig2(*scale)
 				if err != nil {
 					return err
 				}
-				fmt.Print(experiments.FormatPlanResult(r))
-				fmt.Println()
+				fmt.Fprint(stdout, experiments.FormatSeries(pts, len(pts)/40+1))
+				return nil
+			}},
+			{"fig3", "Fig. 3 + §2.1: TVLA top contexts and suggestions", func() error {
+				res, err := experiments.Fig3(*scale)
+				if err != nil {
+					return err
+				}
+				fmt.Fprint(stdout, res.Format())
+				return nil
+			}},
+			{"fig6", "Fig. 6: minimal-heap improvement per benchmark", func() error {
+				rows, err := experiments.Fig6(scales)
+				if err != nil {
+					return err
+				}
+				fmt.Fprint(stdout, experiments.FormatFig6(rows))
+				return nil
+			}},
+			{"fig7", "Fig. 7: running-time improvement per benchmark", func() error {
+				rows, err := experiments.Fig7(scales, *reps)
+				if err != nil {
+					return err
+				}
+				fmt.Fprint(stdout, experiments.FormatFig7(rows))
+				return nil
+			}},
+			{"fig8", "Fig. 8: bloat collections spike", func() error {
+				pts, err := experiments.Fig8(*scale)
+				if err != nil {
+					return err
+				}
+				fmt.Fprint(stdout, experiments.FormatSeries(pts, len(pts)/40+1))
+				return nil
+			}},
+			{"sweep", "§2.3: SizeAdapting conversion-threshold sweep on TVLA", func() error {
+				rows, base, err := experiments.Sweep(nil, *scale, *reps)
+				if err != nil {
+					return err
+				}
+				fmt.Fprint(stdout, experiments.FormatSweep(rows, base))
+				return nil
+			}},
+			{"calibrate", "§3.3.1: per-environment rule-constant calibration (Z)", func() error {
+				fmt.Fprint(stdout, experiments.FormatCalibration(experiments.Calibrate(nil, 0, *reps)))
+				return nil
+			}},
+			{"plan", "§3.3.2: tool-applied plan (profile -> plan -> re-run)", func() error {
+				for _, name := range []string{"tvla", "findbugs"} {
+					r, err := experiments.ProfileThenApply(name, *scale)
+					if err != nil {
+						return err
+					}
+					fmt.Fprint(stdout, experiments.FormatPlanResult(r))
+					fmt.Fprintln(stdout)
+				}
+				return nil
+			}},
+			{"auto", "§5.4: fully-automatic online mode overhead", func() error {
+				rows, err := experiments.AutoOverhead(scales, *reps)
+				if err != nil {
+					return err
+				}
+				fmt.Fprint(stdout, experiments.FormatAuto(rows))
+				return nil
+			}},
+		}
+		known := *experiment == "all"
+		for _, st := range steps {
+			known = known || st.name == *experiment
+		}
+		if !known {
+			return cli.Errorf(cli.Usage, "unknown experiment %q", *experiment)
+		}
+		for _, st := range steps {
+			if *experiment != st.name && *experiment != "all" {
+				continue
 			}
-			return nil
-		})
-	}
-	if want("auto") {
-		run("§5.4: fully-automatic online mode overhead", func() error {
-			rows, err := experiments.AutoOverhead(scales, *reps)
-			if err != nil {
-				return err
+			fmt.Fprintf(stdout, "== %s ==\n", st.title)
+			if err := st.run(); err != nil {
+				return fmt.Errorf("%s: %w", st.title, err)
 			}
-			fmt.Print(experiments.FormatAuto(rows))
-			return nil
-		})
-	}
-	switch *experiment {
-	case "fig2", "fig3", "fig6", "fig7", "fig8", "sweep", "plan", "calibrate", "auto", "all":
-	default:
-		fmt.Fprintf(os.Stderr, "chameleon-bench: unknown experiment %q\n", *experiment)
-		os.Exit(2)
+			fmt.Fprintln(stdout)
+		}
+		return nil
 	}
 }

@@ -17,12 +17,7 @@
 //	chameleon-chaos -replay repro-fleet-7.json     # re-run a reproducer
 //	chameleon-chaos -list                          # scenarios, seams, auditors
 //
-// Exit codes form a contract scripts can dispatch on:
-//
-//	0  success: every run passed every auditor (or -replay reproduced)
-//	1  runtime failure (unreadable schedule, unwritable artifact)
-//	2  usage error
-//	3  invariant violation found (soak), or -replay no longer reproduces
+// Run with -h for the flags and the exit-code contract.
 package main
 
 import (
@@ -35,24 +30,25 @@ import (
 	"strings"
 
 	"chameleon/internal/chaos"
+	"chameleon/internal/cli"
 )
 
-const (
-	exitOK      = 0
-	exitFailure = 1
-	exitUsage   = 2
-	exitAssert  = 3
-)
-
-func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+var command = &cli.Command{
+	Name:     "chameleon-chaos",
+	Synopsis: "chameleon-chaos [flags]",
+	Exits: map[int]string{
+		cli.OK:      "success: every run passed every auditor (or -replay reproduced)",
+		cli.Failure: "runtime failure (unreadable schedule, unwritable artifact)",
+		cli.Assert:  "invariant violation found (soak), or -replay no longer reproduces",
+	},
+	Setup: setup,
 }
 
-// run executes a full command line and reports the process exit status.
-// It is the testable entry point: main only binds it to os.
-func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("chameleon-chaos", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+func main() {
+	os.Exit(command.Run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func setup(fs *flag.FlagSet) cli.Body {
 	seeds := fs.Uint64("seeds", 8, "seeds to run per scenario (1..N)")
 	scenarios := fs.String("scenarios", "", "comma-separated scenarios (default: all)")
 	events := fs.Int("events", 6, "fault events per generated schedule")
@@ -61,89 +57,80 @@ func run(args []string, stdout, stderr io.Writer) int {
 	replay := fs.String("replay", "", "re-run this reproducer file and verify it still trips its auditor")
 	list := fs.Bool("list", false, "print scenarios, seams and auditors, then exit")
 	asJSON := fs.Bool("json", false, "emit one JSON result object per run")
-	if err := fs.Parse(args); err != nil {
-		return exitUsage
-	}
-	if fs.NArg() > 0 {
-		fmt.Fprintf(stderr, "chameleon-chaos: unexpected arguments: %s\n", strings.Join(fs.Args(), " "))
-		return exitUsage
-	}
-
-	if *list {
-		fmt.Fprintf(stdout, "scenarios: %s\n", strings.Join(chaos.Scenarios(), " "))
-		fmt.Fprintf(stdout, "seams:     %s\n", strings.Join(chaos.Seams(), " "))
-		fmt.Fprintf(stdout, "auditors:  %s\n", strings.Join(chaos.Auditors(), " "))
-		return exitOK
-	}
-
-	h := chaos.NewHarness()
-
-	if *replay != "" {
-		return runReplay(h, *replay, *asJSON, stdout, stderr)
-	}
-
-	scs := chaos.Scenarios()
-	if *scenarios != "" {
-		scs = strings.Split(*scenarios, ",")
-	}
-	if *seeds < 1 || *events < 1 {
-		fmt.Fprintln(stderr, "chameleon-chaos: -seeds and -events must be >= 1")
-		return exitUsage
-	}
-
-	violations := 0
-	for _, sc := range scs {
-		sc = strings.TrimSpace(sc)
-		for seed := uint64(1); seed <= *seeds; seed++ {
-			s := chaos.Generate(seed, sc, *events)
-			res, err := h.Run(s)
-			if err != nil {
-				fmt.Fprintf(stderr, "chameleon-chaos: %s seed %d: %v\n", sc, seed, err)
-				return exitUsage
-			}
-			printResult(stdout, res, *asJSON)
-			if len(res.Violations) == 0 {
-				continue
-			}
-			violations++
-			auditor := res.Outcome()
-			repro := s
-			if !*noShrink {
-				repro = h.Shrink(s, auditor)
-				fmt.Fprintf(stdout, "  shrunk: %d -> %d event(s)\n", len(s.Events), len(repro.Events))
-			} else {
-				repro.Violation = auditor
-			}
-			path := filepath.Join(*out, fmt.Sprintf("repro-%s-%d.json", sc, seed))
-			if err := repro.WriteFile(path); err != nil {
-				fmt.Fprintf(stderr, "chameleon-chaos: writing reproducer: %v\n", err)
-				return exitFailure
-			}
-			fmt.Fprintf(stdout, "  reproducer: %s (replay with -replay %s)\n", path, path)
+	return func(args []string, stdout, _ io.Writer) error {
+		if len(args) > 0 {
+			return cli.Errorf(cli.Usage, "unexpected arguments: %s", strings.Join(args, " "))
 		}
+		if *list {
+			fmt.Fprintf(stdout, "scenarios: %s\n", strings.Join(chaos.Scenarios(), " "))
+			fmt.Fprintf(stdout, "seams:     %s\n", strings.Join(chaos.Seams(), " "))
+			fmt.Fprintf(stdout, "auditors:  %s\n", strings.Join(chaos.Auditors(), " "))
+			return nil
+		}
+
+		h := chaos.NewHarness()
+		if *replay != "" {
+			return runReplay(h, *replay, *asJSON, stdout)
+		}
+
+		scs := chaos.Scenarios()
+		if *scenarios != "" {
+			scs = strings.Split(*scenarios, ",")
+		}
+		if *seeds < 1 || *events < 1 {
+			return cli.Errorf(cli.Usage, "-seeds and -events must be >= 1")
+		}
+
+		violations := 0
+		for _, sc := range scs {
+			sc = strings.TrimSpace(sc)
+			for seed := uint64(1); seed <= *seeds; seed++ {
+				s := chaos.Generate(seed, sc, *events)
+				res, err := h.Run(s)
+				if err != nil {
+					return cli.Errorf(cli.Usage, "%s seed %d: %w", sc, seed, err)
+				}
+				printResult(stdout, res, *asJSON)
+				if len(res.Violations) == 0 {
+					continue
+				}
+				violations++
+				auditor := res.Outcome()
+				repro := s
+				if !*noShrink {
+					repro = h.Shrink(s, auditor)
+					fmt.Fprintf(stdout, "  shrunk: %d -> %d event(s)\n", len(s.Events), len(repro.Events))
+				} else {
+					repro.Violation = auditor
+				}
+				path := filepath.Join(*out, fmt.Sprintf("repro-%s-%d.json", sc, seed))
+				if err := repro.WriteFile(path); err != nil {
+					return fmt.Errorf("writing reproducer: %w", err)
+				}
+				fmt.Fprintf(stdout, "  reproducer: %s (replay with -replay %s)\n", path, path)
+			}
+		}
+		if violations > 0 {
+			fmt.Fprintf(stdout, "FAIL: %d schedule(s) violated invariants\n", violations)
+			return cli.Exit(cli.Assert, nil)
+		}
+		fmt.Fprintf(stdout, "PASS: %d scenario(s) x %d seed(s), all auditors clean\n", len(scs), *seeds)
+		return nil
 	}
-	if violations > 0 {
-		fmt.Fprintf(stdout, "FAIL: %d schedule(s) violated invariants\n", violations)
-		return exitAssert
-	}
-	fmt.Fprintf(stdout, "PASS: %d scenario(s) x %d seed(s), all auditors clean\n", len(scs), *seeds)
-	return exitOK
 }
 
 // runReplay re-executes a reproducer and checks that it still trips the
 // auditor recorded in its Violation field. A reproducer whose Violation
 // is empty (a known-good schedule) must instead pass every auditor —
 // that is the CI replay-smoke mode.
-func runReplay(h *chaos.Harness, path string, asJSON bool, stdout, stderr io.Writer) int {
+func runReplay(h *chaos.Harness, path string, asJSON bool, stdout io.Writer) error {
 	s, err := chaos.ReadScheduleFile(path)
 	if err != nil {
-		fmt.Fprintf(stderr, "chameleon-chaos: %v\n", err)
-		return exitFailure
+		return err
 	}
 	res, err := h.Run(s)
 	if err != nil {
-		fmt.Fprintf(stderr, "chameleon-chaos: %v\n", err)
-		return exitFailure
+		return err
 	}
 	printResult(stdout, res, asJSON)
 	got := res.Outcome()
@@ -153,10 +140,10 @@ func runReplay(h *chaos.Harness, path string, asJSON bool, stdout, stderr io.Wri
 		} else {
 			fmt.Fprintf(stdout, "REPLAY PASS: reproduces %q deterministically\n", s.Violation)
 		}
-		return exitOK
+		return nil
 	}
 	fmt.Fprintf(stdout, "REPLAY FAIL: recorded violation %q, this run produced %q\n", s.Violation, got)
-	return exitAssert
+	return cli.Exit(cli.Assert, nil)
 }
 
 // printResult renders one run: scenario, seed, per-seam fire tallies and

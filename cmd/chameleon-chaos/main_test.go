@@ -7,24 +7,26 @@ import (
 	"testing"
 
 	"chameleon/internal/chaos"
+	"chameleon/internal/cli"
+	"chameleon/internal/cli/clitest"
 )
 
 func TestUsageErrors(t *testing.T) {
 	var out, errb strings.Builder
-	if got := run([]string{"-bogus"}, &out, &errb); got != exitUsage {
-		t.Fatalf("unknown flag: exit %d, want %d", got, exitUsage)
+	if got := command.Run([]string{"-bogus"}, &out, &errb); got != cli.Usage {
+		t.Fatalf("unknown flag: exit %d, want %d", got, cli.Usage)
 	}
-	if got := run([]string{"stray"}, &out, &errb); got != exitUsage {
-		t.Fatalf("stray arg: exit %d, want %d", got, exitUsage)
+	if got := command.Run([]string{"stray"}, &out, &errb); got != cli.Usage {
+		t.Fatalf("stray arg: exit %d, want %d", got, cli.Usage)
 	}
-	if got := run([]string{"-seeds", "0"}, &out, &errb); got != exitUsage {
-		t.Fatalf("-seeds 0: exit %d, want %d", got, exitUsage)
+	if got := command.Run([]string{"-seeds", "0"}, &out, &errb); got != cli.Usage {
+		t.Fatalf("-seeds 0: exit %d, want %d", got, cli.Usage)
 	}
 }
 
 func TestList(t *testing.T) {
 	var out, errb strings.Builder
-	if got := run([]string{"-list"}, &out, &errb); got != exitOK {
+	if got := command.Run([]string{"-list"}, &out, &errb); got != cli.OK {
 		t.Fatalf("exit %d, stderr %s", got, errb.String())
 	}
 	for _, want := range []string{"phaseshift", "fleet", "rule-panic", "ingest-delay", chaos.AuditNoWedge} {
@@ -38,8 +40,8 @@ func TestList(t *testing.T) {
 // unbroken tree and reports PASS.
 func TestSoakCleanTree(t *testing.T) {
 	var out, errb strings.Builder
-	code := run([]string{"-scenarios", "phaseshift,fleet", "-seeds", "2", "-out", t.TempDir()}, &out, &errb)
-	if code != exitOK {
+	code := command.Run([]string{"-scenarios", "phaseshift,fleet", "-seeds", "2", "-out", t.TempDir()}, &out, &errb)
+	if code != cli.OK {
 		t.Fatalf("exit %d\nstdout:\n%s\nstderr:\n%s", code, out.String(), errb.String())
 	}
 	if !strings.Contains(out.String(), "PASS") {
@@ -56,7 +58,7 @@ func TestReplayKnownGood(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out, errb strings.Builder
-	if code := run([]string{"-replay", path}, &out, &errb); code != exitOK {
+	if code := command.Run([]string{"-replay", path}, &out, &errb); code != cli.OK {
 		t.Fatalf("exit %d\nstdout:\n%s\nstderr:\n%s", code, out.String(), errb.String())
 	}
 	if !strings.Contains(out.String(), "REPLAY PASS") {
@@ -74,8 +76,8 @@ func TestReplayMismatchExits3(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out, errb strings.Builder
-	if code := run([]string{"-replay", path}, &out, &errb); code != exitAssert {
-		t.Fatalf("exit %d, want %d\n%s", code, exitAssert, out.String())
+	if code := command.Run([]string{"-replay", path}, &out, &errb); code != cli.Assert {
+		t.Fatalf("exit %d, want %d\n%s", code, cli.Assert, out.String())
 	}
 	if !strings.Contains(out.String(), "REPLAY FAIL") {
 		t.Fatalf("no REPLAY FAIL:\n%s", out.String())
@@ -84,28 +86,32 @@ func TestReplayMismatchExits3(t *testing.T) {
 
 func TestReplayUnreadableExits1(t *testing.T) {
 	var out, errb strings.Builder
-	if code := run([]string{"-replay", filepath.Join(t.TempDir(), "missing.json")}, &out, &errb); code != exitFailure {
-		t.Fatalf("exit %d, want %d", code, exitFailure)
+	if code := command.Run([]string{"-replay", filepath.Join(t.TempDir(), "missing.json")}, &out, &errb); code != cli.Failure {
+		t.Fatalf("exit %d, want %d", code, cli.Failure)
 	}
 	// Malformed JSON is also a runtime failure, not a crash.
 	bad := filepath.Join(t.TempDir(), "bad.json")
 	if err := os.WriteFile(bad, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if code := run([]string{"-replay", bad}, &out, &errb); code != exitFailure {
-		t.Fatalf("malformed: exit %d, want %d", code, exitFailure)
+	if code := command.Run([]string{"-replay", bad}, &out, &errb); code != cli.Failure {
+		t.Fatalf("malformed: exit %d, want %d", code, cli.Failure)
 	}
 }
 
 // TestJSONOutput: -json emits one parseable object per run line.
 func TestJSONOutput(t *testing.T) {
 	var out, errb strings.Builder
-	code := run([]string{"-scenarios", "contextstorm", "-seeds", "1", "-json", "-out", t.TempDir()}, &out, &errb)
-	if code != exitOK {
+	code := command.Run([]string{"-scenarios", "contextstorm", "-seeds", "1", "-json", "-out", t.TempDir()}, &out, &errb)
+	if code != cli.OK {
 		t.Fatalf("exit %d: %s", code, errb.String())
 	}
 	first := strings.SplitN(out.String(), "\n", 2)[0]
 	if !strings.HasPrefix(first, "{") || !strings.Contains(first, `"checksum"`) {
 		t.Fatalf("first line is not a result object: %s", first)
 	}
+}
+
+func TestUsageListsEveryFlag(t *testing.T) {
+	clitest.CheckUsage(t, command)
 }

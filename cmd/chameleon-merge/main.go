@@ -16,17 +16,12 @@
 // Corrupt or torn inputs never abort a merge: damage degrades the source
 // it came from, per record, and every drop is accounted in the report.
 //
-// Exit codes form a contract scripts can dispatch on:
-//
-//	0  success
-//	1  runtime failure (unreadable directory, write failure, every source dead)
-//	2  usage error
-//	3  -assert-recovery failed: a source wedged in quarantine, recovery
-//	   never happened, or the service stopped merging
+// Run with -h for the flags and the exit-code contract.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -39,105 +34,72 @@ import (
 	"time"
 
 	"chameleon/internal/advisor"
+	"chameleon/internal/cli"
 	"chameleon/internal/faults"
 	"chameleon/internal/fleet"
 	"chameleon/internal/profiler"
-	"chameleon/internal/rules"
 )
 
-const (
-	exitOK      = 0
-	exitFailure = 1
-	exitUsage   = 2
-	exitAssert  = 3
-)
+var command = &cli.Command{
+	Name: "chameleon-merge",
+	Synopsis: `chameleon-merge [flags] <snapshot.json>...
+       chameleon-merge -watch <dir> [flags]
 
-func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+The first form merges snapshots and prints the report; the second runs
+the ingest service (flags marked "watch:"). -advise evaluates the builtin
+rule set unless -rules or -extended chooses another.`,
+	Exits: map[int]string{
+		cli.Failure: "runtime failure (unreadable directory or rules file, write failure, every source dead)",
+		cli.Assert:  "-assert-recovery failed: a source wedged in quarantine, recovery never happened, or the service stopped merging",
+	},
+	Setup: setup,
 }
 
-// run executes a full command line and reports the process exit status.
-// It is the testable entry point: main only binds it to os.
-func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("chameleon-merge", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	out := fs.String("o", "", "write the merged fleet snapshot to this file (v2 format)")
+func main() {
+	os.Exit(command.Run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func setup(fs *flag.FlagSet) cli.Body {
+	var cfg watchConfig
+	fs.StringVar(&cfg.out, "o", "", "write the merged fleet snapshot to this file (v2 format)")
 	advise := fs.Bool("advise", false, "run the advisor over the merged profile and print the report")
 	asJSON := fs.Bool("json", false, "emit the merge report (and advice with -advise) as JSON")
-	top := fs.Int("top", 0, "limit the advisor report to the top-K contexts (0 = all)")
-	rulesFile := fs.String("rules", "", "rule file for -advise (default: built-in Table 2 rules)")
-	extended := fs.Bool("extended", false, "use the extended rule set for -advise")
-	minEvidence := fs.Int64("min-evidence", 0, "per-source evidence needed to join skew detection (0 = default 8)")
-	minConfidence := fs.Float64("min-confidence", 0, "cross-source agreement below which a context is conflicted (0 = default 0.7)")
+	fs.IntVar(&cfg.advise.Top, "top", 0, "limit the advisor report to the top-K contexts (0 = all)")
+	src := cli.RuleFlags(fs, cli.RulesFlag|cli.ExtendedFlag)
+	fs.Int64Var(&cfg.merge.MinSourceEvidence, "min-evidence", 0, "per-source evidence needed to join skew detection (0 = default 8)")
+	fs.Float64Var(&cfg.merge.MinConfidence, "min-confidence", 0, "cross-source agreement below which a context is conflicted (0 = default 0.7)")
 
-	watch := fs.String("watch", "", "ingest service mode: watch this snapshot directory")
-	interval := fs.Duration("interval", time.Second, "watch: seconds between ingest rounds")
-	rounds := fs.Int("rounds", 0, "watch: stop after N rounds (0 = run until interrupted)")
-	httpAddr := fs.String("http", "", "watch: serve POST /ingest/{source} and GET /ledger on this address")
-	ledgerOut := fs.String("ledger-out", "", "watch: write the final health ledger as JSON to this file")
-	failLimit := fs.Int("fail-limit", 0, "watch: consecutive hard failures before quarantine (0 = default 3)")
-	backoff := fs.Int("backoff", 0, "watch: initial quarantine length in rounds, doubling per quarantine (0 = default 4)")
-	stale := fs.Int("stale-rounds", 0, "watch: rounds without a fresh delivery before a source goes stale (0 = never)")
-	redeliver := fs.Bool("redeliver", false, "watch: re-read sources every round even when unchanged")
-	inject := fs.Bool("inject", false, "watch: arm fault hooks by source name (*torn*, *flaky*, *outage*); implies -redeliver")
-	assertRecovery := fs.Bool("assert-recovery", false, "watch: exit 3 unless a quarantine happened, recovered, and no source ended wedged")
-	fs.Usage = func() { usage(stderr) }
-	if err := fs.Parse(args); err != nil {
-		return exitUsage
-	}
-
-	mergeOpts := fleet.Options{MinSourceEvidence: *minEvidence, MinConfidence: *minConfidence}
-	advOpts := advisor.Options{Top: *top}
-	if *extended {
-		advOpts.Rules = rules.Extended()
-	}
-	if *rulesFile != "" {
-		src, err := os.ReadFile(*rulesFile)
-		if err != nil {
-			fmt.Fprintln(stderr, "chameleon-merge:", err)
-			return exitFailure
+	fs.StringVar(&cfg.dir, "watch", "", "ingest service mode: watch this snapshot directory")
+	fs.DurationVar(&cfg.interval, "interval", time.Second, "watch: seconds between ingest rounds")
+	fs.IntVar(&cfg.rounds, "rounds", 0, "watch: stop after N rounds (0 = run until interrupted)")
+	fs.StringVar(&cfg.httpAddr, "http", "", "watch: serve POST /ingest/{source} and GET /ledger on this address")
+	fs.StringVar(&cfg.ledgerOut, "ledger-out", "", "watch: write the final health ledger as JSON to this file")
+	fs.IntVar(&cfg.failLimit, "fail-limit", 0, "watch: consecutive hard failures before quarantine (0 = default 3)")
+	fs.IntVar(&cfg.backoff, "backoff", 0, "watch: initial quarantine length in rounds, doubling per quarantine (0 = default 4)")
+	fs.IntVar(&cfg.stale, "stale-rounds", 0, "watch: rounds without a fresh delivery before a source goes stale (0 = never)")
+	fs.BoolVar(&cfg.redeliver, "redeliver", false, "watch: re-read sources every round even when unchanged")
+	fs.BoolVar(&cfg.inject, "inject", false, "watch: arm fault hooks by source name (*torn*, *flaky*, *outage*); implies -redeliver")
+	fs.BoolVar(&cfg.assertRecovery, "assert-recovery", false, "watch: exit 3 unless a quarantine happened, recovered, and no source ended wedged")
+	return func(paths []string, stdout, stderr io.Writer) error {
+		var err error
+		if cfg.advise.Rules, err = src.Load(nil, cli.Failure); err != nil {
+			return err
 		}
-		rs, err := rules.Parse(string(src))
-		if err != nil {
-			fmt.Fprintln(stderr, "chameleon-merge:", err)
-			return exitFailure
+		switch {
+		case cfg.dir != "" && len(paths) > 0:
+			return cli.Errorf(cli.Usage, "-watch takes no snapshot arguments")
+		case cfg.dir != "":
+			cfg.redeliver = cfg.redeliver || cfg.inject
+			return runWatch(cfg, stdout, stderr)
+		case len(paths) == 0:
+			return cli.Errorf(cli.Usage, "no snapshots given")
 		}
-		advOpts.Rules = rs
+		return runMerge(paths, cfg.merge, cfg.advise, cfg.out, *advise, *asJSON, stdout, stderr)
 	}
-
-	if *watch != "" {
-		if fs.NArg() > 0 {
-			fmt.Fprintln(stderr, "chameleon-merge: -watch takes no snapshot arguments")
-			return exitUsage
-		}
-		return runWatch(watchConfig{
-			dir:            *watch,
-			interval:       *interval,
-			rounds:         *rounds,
-			httpAddr:       *httpAddr,
-			ledgerOut:      *ledgerOut,
-			out:            *out,
-			merge:          mergeOpts,
-			advise:         advOpts,
-			failLimit:      *failLimit,
-			backoff:        *backoff,
-			stale:          *stale,
-			redeliver:      *redeliver || *inject,
-			inject:         *inject,
-			assertRecovery: *assertRecovery,
-		}, stdout, stderr)
-	}
-
-	if fs.NArg() == 0 {
-		fmt.Fprintln(stderr, "chameleon-merge: no snapshots given")
-		usage(stderr)
-		return exitUsage
-	}
-	return runMerge(fs.Args(), mergeOpts, advOpts, *out, *advise, *asJSON, stdout, stderr)
 }
 
 // runMerge is the one-shot mode: read every snapshot, merge, report.
-func runMerge(paths []string, mergeOpts fleet.Options, advOpts advisor.Options, out string, advise, asJSON bool, stdout, stderr io.Writer) int {
+func runMerge(paths []string, mergeOpts fleet.Options, advOpts advisor.Options, out string, advise, asJSON bool, stdout, stderr io.Writer) error {
 	var sources []fleet.Source
 	for _, path := range paths {
 		s, err := fleet.ReadSourceFile(path)
@@ -150,16 +112,14 @@ func runMerge(paths []string, mergeOpts fleet.Options, advOpts advisor.Options, 
 	}
 	res := fleet.Merge(sources, mergeOpts)
 	if res.Report.FailedSources == len(sources) {
-		fmt.Fprintln(stderr, "chameleon-merge: every source failed; nothing to merge")
-		return exitFailure
+		return errors.New("every source failed; nothing to merge")
 	}
 
 	var rep *advisor.Report
 	if advise {
 		var err error
 		if rep, err = res.Advise(advOpts); err != nil {
-			fmt.Fprintln(stderr, "chameleon-merge:", err)
-			return exitFailure
+			return err
 		}
 	}
 	if asJSON {
@@ -170,8 +130,7 @@ func runMerge(paths []string, mergeOpts fleet.Options, advOpts advisor.Options, 
 		}{res.Report, res.Annotations, rep}
 		b, err := json.MarshalIndent(payload, "", "  ")
 		if err != nil {
-			fmt.Fprintln(stderr, "chameleon-merge:", err)
-			return exitFailure
+			return err
 		}
 		fmt.Fprintln(stdout, string(b))
 	} else {
@@ -202,12 +161,11 @@ func runMerge(paths []string, mergeOpts fleet.Options, advOpts advisor.Options, 
 
 	if out != "" {
 		if err := profiler.WriteProfilesFile(out, res.Profiles); err != nil {
-			fmt.Fprintln(stderr, "chameleon-merge:", err)
-			return exitFailure
+			return err
 		}
 		fmt.Fprintf(stderr, "chameleon-merge: fleet snapshot written to %s\n", out)
 	}
-	return exitOK
+	return nil
 }
 
 type watchConfig struct {
@@ -228,10 +186,9 @@ type watchConfig struct {
 }
 
 // runWatch is the ingest-service mode.
-func runWatch(cfg watchConfig, stdout, stderr io.Writer) int {
+func runWatch(cfg watchConfig, stdout, stderr io.Writer) error {
 	if info, err := os.Stat(cfg.dir); err != nil || !info.IsDir() {
-		fmt.Fprintf(stderr, "chameleon-merge: -watch %s: not a directory\n", cfg.dir)
-		return exitFailure
+		return fmt.Errorf("-watch %s: not a directory", cfg.dir)
 	}
 	if cfg.inject {
 		armInjection(cfg.dir, stderr)
@@ -252,8 +209,7 @@ func runWatch(cfg watchConfig, stdout, stderr io.Writer) int {
 	if cfg.httpAddr != "" {
 		ln, err := net.Listen("tcp", cfg.httpAddr)
 		if err != nil {
-			fmt.Fprintln(stderr, "chameleon-merge:", err)
-			return exitFailure
+			return err
 		}
 		srv = &http.Server{Handler: w.Handler()}
 		go func() { _ = srv.Serve(ln) }()
@@ -271,11 +227,10 @@ func runWatch(cfg watchConfig, stdout, stderr io.Writer) int {
 	emptyRounds, totalRounds := 0, 0
 	var last fleet.TickResult
 
-	tick := func() bool {
+	tick := func() error {
 		res, err := w.Tick()
 		if err != nil {
-			fmt.Fprintln(stderr, "chameleon-merge:", err)
-			return false
+			return err
 		}
 		last = res
 		totalRounds++
@@ -294,13 +249,13 @@ func runWatch(cfg watchConfig, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "round %d: %d context(s), %d conflicted, %d published; %s\n",
 			res.Tick, res.Contexts, res.Conflicted, res.Published, strings.Join(states, " "))
-		return true
+		return nil
 	}
 
 	timer := time.NewTicker(cfg.interval)
 	defer timer.Stop()
-	if !tick() { // round 1 immediately; then on the interval
-		return exitFailure
+	if err := tick(); err != nil { // round 1 immediately; then on the interval
+		return err
 	}
 loop:
 	for cfg.rounds == 0 || totalRounds < cfg.rounds {
@@ -309,8 +264,8 @@ loop:
 			fmt.Fprintln(stderr, "chameleon-merge: interrupted")
 			break loop
 		case <-timer.C:
-			if !tick() {
-				return exitFailure
+			if err := tick(); err != nil {
+				return err
 			}
 		}
 	}
@@ -321,15 +276,13 @@ loop:
 			err = os.WriteFile(cfg.ledgerOut, append(b, '\n'), 0o644)
 		}
 		if err != nil {
-			fmt.Fprintln(stderr, "chameleon-merge:", err)
-			return exitFailure
+			return err
 		}
 		fmt.Fprintf(stderr, "chameleon-merge: health ledger written to %s\n", cfg.ledgerOut)
 	}
 	if cfg.out != "" && last.Merged != nil {
 		if err := profiler.WriteProfilesFile(cfg.out, last.Merged.Profiles); err != nil {
-			fmt.Fprintln(stderr, "chameleon-merge:", err)
-			return exitFailure
+			return err
 		}
 		fmt.Fprintf(stderr, "chameleon-merge: fleet snapshot written to %s\n", cfg.out)
 	}
@@ -343,21 +296,17 @@ loop:
 		}
 		switch {
 		case !sawQuarantine:
-			fmt.Fprintln(stderr, "chameleon-merge: ASSERT: no source was ever quarantined (faults did not bite)")
-			return exitAssert
+			return cli.Errorf(cli.Assert, "ASSERT: no source was ever quarantined (faults did not bite)")
 		case !sawRecovery:
-			fmt.Fprintln(stderr, "chameleon-merge: ASSERT: no quarantined source ever recovered")
-			return exitAssert
+			return cli.Errorf(cli.Assert, "ASSERT: no quarantined source ever recovered")
 		case len(wedged) > 0:
-			fmt.Fprintf(stderr, "chameleon-merge: ASSERT: source(s) ended wedged in quarantine: %s\n", strings.Join(wedged, ", "))
-			return exitAssert
+			return cli.Errorf(cli.Assert, "ASSERT: source(s) ended wedged in quarantine: %s", strings.Join(wedged, ", "))
 		case emptyRounds > 0:
-			fmt.Fprintf(stderr, "chameleon-merge: ASSERT: %d of %d rounds merged nothing\n", emptyRounds, totalRounds)
-			return exitAssert
+			return cli.Errorf(cli.Assert, "ASSERT: %d of %d rounds merged nothing", emptyRounds, totalRounds)
 		}
 		fmt.Fprintf(stderr, "chameleon-merge: recovery asserted over %d rounds (quarantine observed and healed, no wedge)\n", totalRounds)
 	}
-	return exitOK
+	return nil
 }
 
 // armInjection arms per-source ingest faults keyed by file name: any
@@ -399,30 +348,4 @@ func armInjection(dir string, stderr io.Writer) {
 		}
 		return data, false
 	}})
-}
-
-func usage(w io.Writer) {
-	fmt.Fprint(w, `usage:
-  chameleon-merge [flags] <snapshot.json>...     merge snapshots, print report
-  chameleon-merge -watch <dir> [flags]           run the ingest service
-
-merge flags:
-  -o file            write the merged fleet snapshot (v2 format)
-  -advise            run the advisor over the aggregate (-rules/-extended/-top)
-  -json              machine-readable report
-  -min-evidence N    per-source evidence to join skew detection (default 8)
-  -min-confidence F  agreement threshold below which a context conflicts (default 0.7)
-
-watch flags:
-  -interval d        time between ingest rounds (default 1s)
-  -rounds N          stop after N rounds (0 = until interrupted)
-  -http addr         POST /ingest/{source} + GET /ledger endpoint
-  -ledger-out file   write the final health ledger as JSON
-  -fail-limit N      hard failures before quarantine (default 3)
-  -backoff N         initial quarantine rounds, doubling (default 4)
-  -stale-rounds N    rounds without delivery before stale (0 = never)
-  -redeliver         re-read unchanged sources every round
-  -inject            arm *torn*/*flaky*/*outage* fault hooks (soak mode)
-  -assert-recovery   exit 3 unless quarantine occurred, healed, and nothing wedged
-`)
 }

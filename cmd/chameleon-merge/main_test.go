@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"chameleon/internal/alloctx"
+	"chameleon/internal/cli"
+	"chameleon/internal/cli/clitest"
 	"chameleon/internal/fleet"
 	"chameleon/internal/profiler"
 	"chameleon/internal/spec"
@@ -40,7 +42,7 @@ func writeSnapshot(t *testing.T, path string, seed, n int) {
 func runCLI(t *testing.T, args ...string) (int, string, string) {
 	t.Helper()
 	var stdout, stderr bytes.Buffer
-	code := run(args, &stdout, &stderr)
+	code := command.Run(args, &stdout, &stderr)
 	return code, stdout.String(), stderr.String()
 }
 
@@ -52,7 +54,7 @@ func TestMergeModeWritesFleetSnapshot(t *testing.T) {
 	out := filepath.Join(dir, "fleet.json")
 
 	code, stdout, stderr := runCLI(t, "-o", out, a, b)
-	if code != exitOK {
+	if code != cli.OK {
 		t.Fatalf("exit %d\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
 	}
 	if !strings.Contains(stdout, "merged: 5 context(s) from 2 source(s)") {
@@ -88,7 +90,7 @@ func TestMergeModeDegradesAndAccounts(t *testing.T) {
 	}
 
 	code, stdout, stderr := runCLI(t, "-json", good, torn, dead)
-	if code != exitOK {
+	if code != cli.OK {
 		t.Fatalf("exit %d\nstderr:\n%s", code, stderr)
 	}
 	var payload struct {
@@ -112,20 +114,47 @@ func TestMergeModeAllDead(t *testing.T) {
 		t.Fatal(err)
 	}
 	code, _, _ := runCLI(t, dead, filepath.Join(dir, "missing.json"))
-	if code != exitFailure {
-		t.Fatalf("exit %d, want %d", code, exitFailure)
+	if code != cli.Failure {
+		t.Fatalf("exit %d, want %d", code, cli.Failure)
 	}
 }
 
 func TestUsageErrors(t *testing.T) {
-	if code, _, _ := runCLI(t); code != exitUsage {
-		t.Fatalf("no args: exit %d, want %d", code, exitUsage)
+	if code, _, _ := runCLI(t); code != cli.Usage {
+		t.Fatalf("no args: exit %d, want %d", code, cli.Usage)
 	}
-	if code, _, _ := runCLI(t, "-watch", t.TempDir(), "extra.json"); code != exitUsage {
-		t.Fatalf("watch with args: exit %d, want %d", code, exitUsage)
+	if code, _, _ := runCLI(t, "-watch", t.TempDir(), "extra.json"); code != cli.Usage {
+		t.Fatalf("watch with args: exit %d, want %d", code, cli.Usage)
 	}
-	if code, _, _ := runCLI(t, "-bogus"); code != exitUsage {
-		t.Fatalf("bad flag: exit %d, want %d", code, exitUsage)
+	if code, _, _ := runCLI(t, "-bogus"); code != cli.Usage {
+		t.Fatalf("bad flag: exit %d, want %d", code, cli.Usage)
+	}
+	rulesPath := filepath.Join(t.TempDir(), "r.cham")
+	if err := os.WriteFile(rulesPath, []byte("ArrayList : maxSize > 4 -> LinkedList\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, _, _ := runCLI(t, "-advise", "-rules", rulesPath, "-extended", "a.json"); code != cli.Usage {
+		t.Fatalf("two rule sources: exit %d, want %d", code, cli.Usage)
+	}
+}
+
+// A rules file that does not load is a runtime failure (exit 1): exit 3
+// means a failed -assert-recovery here.
+func TestUnloadableRulesExitOne(t *testing.T) {
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "a.json")
+	writeSnapshot(t, snap, 0, 2)
+	for name, src := range map[string]string{
+		"noparse.cham": "this is not : a rule ->",
+		"vocab.cham":   "ArrayList : #frob > X -> LinkedList\n",
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if code, _, _ := runCLI(t, "-advise", "-rules", path, snap); code != cli.Failure {
+			t.Errorf("%s: exit %d, want %d", name, code, cli.Failure)
+		}
 	}
 }
 
@@ -145,7 +174,7 @@ func TestWatchSoakAssertRecovery(t *testing.T) {
 	code, stdout, stderr := runCLI(t,
 		"-watch", dir, "-rounds", "12", "-interval", "1ms",
 		"-inject", "-assert-recovery", "-ledger-out", ledgerPath)
-	if code != exitOK {
+	if code != cli.OK {
 		t.Fatalf("soak exit %d\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
 	}
 	if !strings.Contains(stderr, "recovery asserted") {
@@ -186,13 +215,17 @@ func TestWatchAssertFailsWithoutFaults(t *testing.T) {
 	writeSnapshot(t, filepath.Join(dir, "src-good.json"), 0, 3)
 	code, _, stderr := runCLI(t,
 		"-watch", dir, "-rounds", "3", "-interval", "1ms", "-redeliver", "-assert-recovery")
-	if code != exitAssert {
-		t.Fatalf("exit %d, want %d\nstderr:\n%s", code, exitAssert, stderr)
+	if code != cli.Assert {
+		t.Fatalf("exit %d, want %d\nstderr:\n%s", code, cli.Assert, stderr)
 	}
 }
 
 func TestWatchBadDir(t *testing.T) {
-	if code, _, _ := runCLI(t, "-watch", filepath.Join(t.TempDir(), "nope")); code != exitFailure {
-		t.Fatalf("exit %d, want %d", code, exitFailure)
+	if code, _, _ := runCLI(t, "-watch", filepath.Join(t.TempDir(), "nope")); code != cli.Failure {
+		t.Fatalf("exit %d, want %d", code, cli.Failure)
 	}
+}
+
+func TestUsageListsEveryFlag(t *testing.T) {
+	clitest.CheckUsage(t, command)
 }

@@ -13,13 +13,7 @@
 // `chameleon -profile-out` and prints the suggestion report without
 // re-running the program — the offline half of the paper's workflow.
 //
-// Exit codes form a contract scripts can dispatch on:
-//
-//	0  success
-//	1  runtime failure, or error-severity vet diagnostics
-//	2  usage error
-//	3  the rules file does not parse
-//	4  the rules parse but fail vocabulary checks
+// Run with -h for the commands and the exit-code contract.
 package main
 
 import (
@@ -27,82 +21,43 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"strconv"
 	"strings"
 
 	"chameleon/internal/advisor"
+	"chameleon/internal/cli"
 	"chameleon/internal/profiler"
 	"chameleon/internal/rules"
 )
 
-const (
-	exitOK      = 0
-	exitFailure = 1 // runtime failure, or error-severity vet findings
-	exitUsage   = 2
-	exitParse   = 3 // the rules file does not parse
-	exitVocab   = 4 // the rules parse but fail vocabulary checks
-)
+var command = &cli.Command{
+	Name:     "chameleon-rules",
+	Synopsis: "chameleon-rules <command> [arguments]",
+	Exits: map[int]string{
+		cli.Failure:  "runtime failure, or error-severity vet diagnostics",
+		cli.BadInput: "the rules file does not parse",
+		cli.Vocab:    "the rules parse but fail vocabulary checks",
+	},
+	Subcommands: []*cli.Command{
+		{Name: "fmt", Synopsis: "chameleon-rules fmt <rules.cham> [-w]",
+			Summary: "parse and pretty-print", Setup: setupFmt},
+		{Name: "check", Synopsis: "chameleon-rules check <rules.cham> [flags]",
+			Summary: "parse and check the vocabulary", Setup: setupCheck},
+		{Name: "vet", Synopsis: "chameleon-rules vet <rules.cham>|-builtin|-extended [flags]",
+			Summary: "semantic static analysis (see docs/ANALYSIS.md)", Setup: setupVet},
+		{Name: "eval", Synopsis: "chameleon-rules eval <rules.cham> -profile p.json [flags]",
+			Summary: "offline suggestion report from a snapshot", Setup: setupEval},
+		{Name: "explain", Synopsis: "chameleon-rules explain <rules.cham> -profile p.json [flags]",
+			Summary: "trace why rules fire or not", Setup: setupExplain},
+		{Name: "builtin", Synopsis: "chameleon-rules builtin [-extended]",
+			Summary: "print the shipped rule sets", Setup: setupBuiltin},
+	},
+}
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-// run dispatches a full command line and reports the process exit status.
-// It is the testable entry point: main only binds it to os.
-func run(args []string, stdout, stderr io.Writer) int {
-	if len(args) < 1 {
-		return usage(stderr)
-	}
-	switch args[0] {
-	case "fmt":
-		return cmdFmt(args[1:], stdout, stderr)
-	case "check":
-		return cmdCheck(args[1:], stdout, stderr)
-	case "vet":
-		return cmdVet(args[1:], stdout, stderr)
-	case "eval":
-		return cmdEval(args[1:], stdout, stderr)
-	case "explain":
-		return cmdExplain(args[1:], stdout, stderr)
-	case "builtin":
-		return cmdBuiltin(args[1:], stdout, stderr)
-	case "help", "-h", "-help", "--help":
-		usage(stdout)
-		return exitOK
-	default:
-		fmt.Fprintf(stderr, "chameleon-rules: unknown command %q\n", args[0])
-		return usage(stderr)
-	}
-}
-
-func usage(w io.Writer) int {
-	fmt.Fprint(w, `usage: chameleon-rules <command> [arguments]
-
-commands:
-  fmt     <rules.cham> [-w]            parse and pretty-print
-  check   <rules.cham> [-param N=V]    parse and check the vocabulary
-  vet     <rules.cham>|-builtin|-extended [-json] [-strict] [-param N=V]
-                                       semantic static analysis (see docs/ANALYSIS.md)
-  eval    <rules.cham> -profile p.json [-top K] [-min-potential B]
-                                       offline suggestion report from a snapshot
-  explain <rules.cham> -profile p.json [-context substr] [-fired]
-                                       trace why rules fire or not
-  builtin [-extended]                  print the shipped rule sets
-
-exit codes:
-  0  success
-  1  runtime failure, or error-severity vet diagnostics
-  2  usage error
-  3  the rules file does not parse
-  4  the rules parse but fail vocabulary checks
-`)
-	return exitUsage
-}
-
-func fail(stderr io.Writer, err error) int {
-	fmt.Fprintln(stderr, "chameleon-rules:", err)
-	return exitFailure
+	os.Exit(command.Run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // paramFlags collects repeated -param NAME=VALUE flags on top of the
@@ -124,315 +79,192 @@ func (p *paramFlags) Set(s string) error {
 	return nil
 }
 
-func newParams() *paramFlags {
-	p := &paramFlags{params: rules.Params{}}
-	for k, v := range rules.DefaultParams {
-		p.params[k] = v
-	}
+func paramFlag(fs *flag.FlagSet) *paramFlags {
+	p := &paramFlags{params: maps.Clone(rules.DefaultParams)}
+	fs.Var(p, "param", "bind a rule parameter NAME=VALUE (repeatable)")
 	return p
 }
 
-// splitFile accepts the rules file either as the leading argument
-// ("eval rules.cham -profile p.json") or as the trailing positional after
-// flags ("eval -profile p.json rules.cham"); Go's flag package handles the
-// latter natively, so only the leading form needs peeling off.
-func splitFile(args []string) (file string, rest []string) {
-	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		return args[0], args[1:]
-	}
-	return "", args
-}
-
-// loadRules reads and parses a rules file, reporting the exit status that
-// distinguishes unreadable files (1) from files that do not parse (3).
-func loadRules(path string, stderr io.Writer) (*rules.RuleSet, int) {
-	src, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fail(stderr, err)
-	}
-	rs, err := rules.Parse(string(src))
-	if err != nil {
-		fmt.Fprintln(stderr, "chameleon-rules:", err)
-		return nil, exitParse
-	}
-	return rs, exitOK
-}
-
-func cmdFmt(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("fmt", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+func setupFmt(fs *flag.FlagSet) cli.Body {
 	write := fs.Bool("w", false, "write the formatted output back to the file")
-	path, rest := splitFile(args)
-	if err := fs.Parse(rest); err != nil {
-		return exitUsage
-	}
-	if path == "" {
-		path = fs.Arg(0)
-	}
-	if path == "" {
-		fmt.Fprintln(stderr, "chameleon-rules: fmt: expected one rules file")
-		return exitUsage
-	}
-	rs, status := loadRules(path, stderr)
-	if status != exitOK {
-		return status
-	}
-	out := rules.Print(rs)
-	if *write {
-		if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
-			return fail(stderr, err)
+	return func(args []string, stdout, _ io.Writer) error {
+		if len(args) == 0 {
+			return cli.Errorf(cli.Usage, "fmt: expected a rules file")
 		}
-		return exitOK
+		rs, err := cli.ReadRules(args[0])
+		if err != nil {
+			return err
+		}
+		out := rules.Print(rs)
+		if *write {
+			return os.WriteFile(args[0], []byte(out), 0o644)
+		}
+		fmt.Fprint(stdout, out)
+		return nil
 	}
-	fmt.Fprint(stdout, out)
-	return exitOK
 }
 
-func cmdCheck(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("check", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	params := newParams()
-	fs.Var(params, "param", "bind a rule parameter NAME=VALUE (repeatable)")
-	path, rest := splitFile(args)
-	if err := fs.Parse(rest); err != nil {
-		return exitUsage
-	}
-	if path == "" {
-		path = fs.Arg(0)
-	}
-	if path == "" {
-		fmt.Fprintln(stderr, "chameleon-rules: check: expected one rules file")
-		return exitUsage
-	}
-	rs, status := loadRules(path, stderr)
-	if status != exitOK {
-		return status
-	}
-	if errs := rules.Check(rs, params.params); len(errs) > 0 {
-		for _, e := range errs {
-			fmt.Fprintln(stderr, e)
+func setupCheck(fs *flag.FlagSet) cli.Body {
+	params := paramFlag(fs)
+	return func(args []string, stdout, stderr io.Writer) error {
+		if len(args) == 0 {
+			return cli.Errorf(cli.Usage, "check: expected a rules file")
 		}
-		return exitVocab
+		rs, err := (&cli.RuleSource{File: args[0]}).Load(params.params, cli.Split)
+		if err != nil {
+			return err
+		}
+		// Semantic advisories ride along on stderr but do not affect the
+		// status: check answers "is the vocabulary valid", vet answers "do
+		// the rules make sense" and owns the failing exit codes.
+		for _, d := range rules.Vet(rs, params.params) {
+			fmt.Fprintln(stderr, d)
+		}
+		fmt.Fprintf(stdout, "%d rules OK; parameters referenced: %v\n", len(rs.Rules), rules.ParamsOf(rs))
+		return nil
 	}
-	// Semantic advisories ride along on stderr but do not affect the
-	// status: check answers "is the vocabulary valid", vet answers "do the
-	// rules make sense" and owns the failing exit codes.
-	for _, d := range rules.Vet(rs, params.params) {
-		fmt.Fprintln(stderr, d)
-	}
-	fmt.Fprintf(stdout, "%d rules OK; parameters referenced: %v\n", len(rs.Rules), rules.ParamsOf(rs))
-	return exitOK
 }
 
-// cmdVet runs the semantic analyzer over a rules file or a shipped set.
+// setupVet runs the semantic analyzer over a rules file or a shipped set.
 // Vocabulary errors gate the analysis: Vet's verdicts assume every name
 // resolves, so an unknown op or unbound parameter exits 4 before vetting.
-func cmdVet(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("vet", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+func setupVet(fs *flag.FlagSet) cli.Body {
 	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array")
 	strict := fs.Bool("strict", false, "exit 1 on warnings, not only errors")
-	builtin := fs.Bool("builtin", false, "vet the shipped builtin rule set")
-	extended := fs.Bool("extended", false, "vet the shipped extended rule set")
-	params := newParams()
-	fs.Var(params, "param", "bind a rule parameter NAME=VALUE (repeatable)")
-	path, rest := splitFile(args)
-	if err := fs.Parse(rest); err != nil {
-		return exitUsage
-	}
-	if path == "" {
-		path = fs.Arg(0)
-	}
-	var rs *rules.RuleSet
-	var label string
-	sources := 0
-	for _, set := range []bool{*builtin, *extended, path != ""} {
-		if set {
-			sources++
+	src := cli.RuleFlags(fs, cli.BuiltinFlag|cli.ExtendedFlag)
+	params := paramFlag(fs)
+	return func(args []string, stdout, _ io.Writer) error {
+		if len(args) > 0 {
+			src.File = args[0]
 		}
-	}
-	switch {
-	case sources > 1:
-		fmt.Fprintln(stderr, "chameleon-rules: vet: choose one of a rules file, -builtin, or -extended")
-		return exitUsage
-	case *builtin:
-		rs, label = rules.Builtin(), "builtin"
-	case *extended:
-		rs, label = rules.Extended(), "extended"
-	case path != "":
-		var status int
-		rs, status = loadRules(path, stderr)
-		if status != exitOK {
-			return status
-		}
-		label = path
-	default:
-		fmt.Fprintln(stderr, "chameleon-rules: vet: expected a rules file (or -builtin / -extended)")
-		return exitUsage
-	}
-	if errs := rules.Check(rs, params.params); len(errs) > 0 {
-		for _, e := range errs {
-			fmt.Fprintln(stderr, e)
-		}
-		return exitVocab
-	}
-	diags := rules.Vet(rs, params.params)
-	errors, warnings := 0, 0
-	for _, d := range diags {
-		if d.Severity == rules.SevError {
-			errors++
-		} else {
-			warnings++
-		}
-	}
-	if *jsonOut {
-		if diags == nil {
-			diags = []rules.Diagnostic{} // always an array, never null
-		}
-		b, err := json.MarshalIndent(diags, "", "  ")
+		rs, err := src.Load(params.params, cli.Split)
 		if err != nil {
-			return fail(stderr, err)
+			return err
 		}
-		fmt.Fprintln(stdout, string(b))
-	} else {
+		if rs == nil {
+			return cli.Errorf(cli.Usage, "vet: expected a rules file (or -builtin / -extended)")
+		}
+		diags := rules.Vet(rs, params.params)
+		errs, warnings := 0, 0
 		for _, d := range diags {
-			fmt.Fprintln(stdout, d)
+			if d.Severity == rules.SevError {
+				errs++
+			} else {
+				warnings++
+			}
 		}
-		fmt.Fprintf(stdout, "%s: %d rules: %d errors, %d warnings\n",
-			label, len(rs.Rules), errors, warnings)
+		if *jsonOut {
+			if diags == nil {
+				diags = []rules.Diagnostic{} // always an array, never null
+			}
+			b, err := json.MarshalIndent(diags, "", "  ")
+			if err != nil {
+				return err
+			}
+			fmt.Fprintln(stdout, string(b))
+		} else {
+			for _, d := range diags {
+				fmt.Fprintln(stdout, d)
+			}
+			fmt.Fprintf(stdout, "%s: %d rules: %d errors, %d warnings\n",
+				src.Label(), len(rs.Rules), errs, warnings)
+		}
+		if errs > 0 || (*strict && warnings > 0) {
+			return cli.Exit(cli.Failure, nil)
+		}
+		return nil
 	}
-	if errors > 0 || (*strict && warnings > 0) {
-		return exitFailure
-	}
-	return exitOK
 }
 
-func cmdEval(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("eval", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+func setupEval(fs *flag.FlagSet) cli.Body {
 	profilePath := fs.String("profile", "", "profile snapshot JSON (from chameleon -profile-out)")
 	top := fs.Int("top", 10, "show the top-K contexts")
 	minPotential := fs.Int64("min-potential", 0, "suppress space replacements below this potential (bytes; -1 disables)")
-	params := newParams()
-	fs.Var(params, "param", "bind a rule parameter NAME=VALUE (repeatable)")
-	path, rest := splitFile(args)
-	if err := fs.Parse(rest); err != nil {
-		return exitUsage
-	}
-	if path == "" {
-		path = fs.Arg(0)
-	}
-	if path == "" || *profilePath == "" {
-		fmt.Fprintln(stderr, "chameleon-rules: eval: expected a rules file and -profile snapshot")
-		return exitUsage
-	}
-	rs, status := loadRules(path, stderr)
-	if status != exitOK {
-		return status
-	}
-	if errs := rules.Check(rs, params.params); len(errs) > 0 {
-		for _, e := range errs {
-			fmt.Fprintln(stderr, e)
+	params := paramFlag(fs)
+	return func(args []string, stdout, _ io.Writer) error {
+		if len(args) == 0 || *profilePath == "" {
+			return cli.Errorf(cli.Usage, "eval: expected a rules file and -profile snapshot")
 		}
-		return exitVocab
+		rs, err := (&cli.RuleSource{File: args[0]}).Load(params.params, cli.Split)
+		if err != nil {
+			return err
+		}
+		// Semantic findings (shadowed or never-firing rules skew the
+		// suggestions) reach the user through the report itself: Advise
+		// runs Vet and Format leads with the diagnostics.
+		profiles, err := profiler.ReadProfilesFile(*profilePath)
+		if err != nil {
+			return err
+		}
+		rep, err := advisor.Advise(profiles, advisor.Options{
+			Rules:        rs,
+			Params:       params.params,
+			Top:          *top,
+			MinPotential: *minPotential,
+		})
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(stdout, rep.Format())
+		return nil
 	}
-	// Semantic findings (shadowed or never-firing rules skew the
-	// suggestions) reach the user through the report itself: Advise runs
-	// Vet and Format leads with the diagnostics.
-	f, err := os.Open(*profilePath)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	defer f.Close()
-	profiles, err := profiler.ReadProfiles(f)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	rep, err := advisor.Advise(profiles, advisor.Options{
-		Rules:        rs,
-		Params:       params.params,
-		Top:          *top,
-		MinPotential: *minPotential,
-	})
-	if err != nil {
-		return fail(stderr, err)
-	}
-	fmt.Fprint(stdout, rep.Format())
-	return exitOK
 }
 
-// cmdExplain traces rule evaluation against a profiled context: why each
-// rule fired or did not.
-func cmdExplain(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("explain", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+// setupExplain traces rule evaluation against a profiled context: why
+// each rule fired or did not.
+func setupExplain(fs *flag.FlagSet) cli.Body {
 	profilePath := fs.String("profile", "", "profile snapshot JSON (from chameleon -profile-out)")
 	ctxSubstr := fs.String("context", "", "substring selecting the context(s) to explain")
 	firedOnly := fs.Bool("fired", false, "show only rules that fired")
-	params := newParams()
-	fs.Var(params, "param", "bind a rule parameter NAME=VALUE (repeatable)")
-	path, rest := splitFile(args)
-	if err := fs.Parse(rest); err != nil {
-		return exitUsage
-	}
-	if path == "" {
-		path = fs.Arg(0)
-	}
-	if path == "" || *profilePath == "" {
-		fmt.Fprintln(stderr, "chameleon-rules: explain: expected a rules file and -profile snapshot")
-		return exitUsage
-	}
-	rs, status := loadRules(path, stderr)
-	if status != exitOK {
-		return status
-	}
-	f, err := os.Open(*profilePath)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	defer f.Close()
-	profiles, err := profiler.ReadProfiles(f)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	opts := rules.EvalOptions{Params: params.params}
-	shown := 0
-	for _, p := range profiles {
-		if *ctxSubstr != "" && !strings.Contains(p.Context.String(), *ctxSubstr) {
-			continue
+	params := paramFlag(fs)
+	return func(args []string, stdout, stderr io.Writer) error {
+		if len(args) == 0 || *profilePath == "" {
+			return cli.Errorf(cli.Usage, "explain: expected a rules file and -profile snapshot")
 		}
-		fmt.Fprintf(stdout, "context: %s (declared %s, avgMaxSize %.1f, potential %d)\n",
-			p.Context, p.Declared, p.MaxSizeAvg, p.Potential())
-		for _, r := range rs.Rules {
-			ex := rules.Explain(r, p, opts)
-			if *firedOnly && !ex.Fired {
+		rs, err := cli.ReadRules(args[0])
+		if err != nil {
+			return err
+		}
+		profiles, err := profiler.ReadProfilesFile(*profilePath)
+		if err != nil {
+			return err
+		}
+		opts := rules.EvalOptions{Params: params.params}
+		shown := 0
+		for _, p := range profiles {
+			if *ctxSubstr != "" && !strings.Contains(p.Context.String(), *ctxSubstr) {
 				continue
 			}
-			if !ex.SrcMatched && *ctxSubstr == "" {
-				continue // keep unfiltered output readable
+			fmt.Fprintf(stdout, "context: %s (declared %s, avgMaxSize %.1f, potential %d)\n",
+				p.Context, p.Declared, p.MaxSizeAvg, p.Potential())
+			for _, r := range rs.Rules {
+				ex := rules.Explain(r, p, opts)
+				if *firedOnly && !ex.Fired {
+					continue
+				}
+				if !ex.SrcMatched && *ctxSubstr == "" {
+					continue // keep unfiltered output readable
+				}
+				fmt.Fprint(stdout, ex.String())
 			}
-			fmt.Fprint(stdout, ex.String())
+			fmt.Fprintln(stdout)
+			shown++
 		}
-		fmt.Fprintln(stdout)
-		shown++
+		if shown == 0 {
+			fmt.Fprintln(stderr, "chameleon-rules: no contexts matched")
+		}
+		return nil
 	}
-	if shown == 0 {
-		fmt.Fprintln(stderr, "chameleon-rules: no contexts matched")
-	}
-	return exitOK
 }
 
-func cmdBuiltin(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("builtin", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+func setupBuiltin(fs *flag.FlagSet) cli.Body {
 	extended := fs.Bool("extended", false, "include the extension rules (SinglyLinkedList, open addressing)")
-	if err := fs.Parse(args); err != nil {
-		return exitUsage
+	return func(_ []string, stdout, _ io.Writer) error {
+		rs := rules.Builtin()
+		if *extended {
+			rs = rules.Extended()
+		}
+		fmt.Fprint(stdout, rules.Print(rs))
+		return nil
 	}
-	if *extended {
-		fmt.Fprint(stdout, rules.Print(rules.Extended()))
-		return exitOK
-	}
-	fmt.Fprint(stdout, rules.Print(rules.Builtin()))
-	return exitOK
 }

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 
+	"chameleon/internal/cli"
+	"chameleon/internal/cli/clitest"
 	"chameleon/internal/rules"
 )
 
@@ -22,7 +24,7 @@ func runCLI(t *testing.T, args ...string) (status int, stdout, stderr string) {
 	t.Helper()
 	t.Chdir("../..")
 	var out, errb bytes.Buffer
-	status = run(args, &out, &errb)
+	status = command.Run(args, &out, &errb)
 	return status, out.String(), errb.String()
 }
 
@@ -47,8 +49,8 @@ func checkGolden(t *testing.T, got, goldenPath string) {
 // user-facing contract.
 func TestVetBuggyGoldenText(t *testing.T) {
 	status, stdout, _ := runCLI(t, "vet", buggyFile)
-	if status != exitFailure {
-		t.Errorf("status = %d, want %d (the file has error-severity findings)", status, exitFailure)
+	if status != cli.Failure {
+		t.Errorf("status = %d, want %d (the file has error-severity findings)", status, cli.Failure)
 	}
 	checkGolden(t, stdout, filepath.Join("cmd/chameleon-rules/testdata", "vet_buggy.txt"))
 	// One diagnostic per rule, one lint kind each.
@@ -68,8 +70,8 @@ func TestVetBuggyGoldenText(t *testing.T) {
 
 func TestVetBuggyGoldenJSON(t *testing.T) {
 	status, stdout, _ := runCLI(t, "vet", "-json", buggyFile)
-	if status != exitFailure {
-		t.Errorf("status = %d, want %d", status, exitFailure)
+	if status != cli.Failure {
+		t.Errorf("status = %d, want %d", status, cli.Failure)
 	}
 	checkGolden(t, stdout, filepath.Join("cmd/chameleon-rules/testdata", "vet_buggy.json"))
 	var diags []rules.Diagnostic
@@ -85,7 +87,7 @@ func TestVetBuggyGoldenJSON(t *testing.T) {
 func TestVetShippedSets(t *testing.T) {
 	for _, fl := range []string{"-builtin", "-extended"} {
 		status, stdout, stderr := runCLI(t, "vet", fl)
-		if status != exitOK {
+		if status != cli.OK {
 			t.Errorf("vet %s: status = %d, stderr: %s", fl, status, stderr)
 		}
 		if !strings.Contains(stdout, "0 errors, 0 warnings") {
@@ -97,7 +99,7 @@ func TestVetShippedSets(t *testing.T) {
 // -json must emit an array even when there is nothing to report.
 func TestVetCleanJSONIsEmptyArray(t *testing.T) {
 	status, stdout, _ := runCLI(t, "vet", "-json", "-builtin")
-	if status != exitOK {
+	if status != cli.OK {
 		t.Errorf("status = %d, want 0", status)
 	}
 	if strings.TrimSpace(stdout) != "[]" {
@@ -113,10 +115,10 @@ func TestVetStrict(t *testing.T) {
 	if err := os.WriteFile(path, []byte("ArrayList : maxSize > Y -> ArrayList\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if status, _, _ := runCLI(t, "vet", path); status != exitOK {
+	if status, _, _ := runCLI(t, "vet", path); status != cli.OK {
 		t.Errorf("warnings without -strict: status = %d, want 0", status)
 	}
-	if status, _, _ := runCLI(t, "vet", "-strict", path); status != exitFailure {
+	if status, _, _ := runCLI(t, "vet", "-strict", path); status != cli.Failure {
 		t.Errorf("warnings with -strict: status = %d, want 1", status)
 	}
 }
@@ -125,7 +127,7 @@ func TestVetStrict(t *testing.T) {
 // passes and merely relays the vet advisories on stderr.
 func TestCheckBuggyPassesWithAdvisories(t *testing.T) {
 	status, stdout, stderr := runCLI(t, "check", buggyFile)
-	if status != exitOK {
+	if status != cli.OK {
 		t.Errorf("status = %d, want 0 (vocabulary is valid)", status)
 	}
 	if !strings.Contains(stdout, "8 rules OK") {
@@ -151,22 +153,22 @@ func TestExitCodeContract(t *testing.T) {
 		args []string
 		want int
 	}{
-		{"no arguments", nil, exitUsage},
-		{"unknown command", []string{"frobnicate"}, exitUsage},
-		{"vet without input", []string{"vet"}, exitUsage},
-		{"vet conflicting inputs", []string{"vet", "-builtin", "-extended"}, exitUsage},
-		{"help", []string{"help"}, exitOK},
-		{"missing file", []string{"vet", filepath.Join(dir, "absent.cham")}, exitFailure},
-		{"parse error", []string{"vet", noParse}, exitParse},
-		{"parse error via check", []string{"check", noParse}, exitParse},
-		{"vocabulary error", []string{"vet", badVocab}, exitVocab},
-		{"vocabulary error via check", []string{"check", badVocab}, exitVocab},
+		{"no arguments", nil, cli.Usage},
+		{"unknown command", []string{"frobnicate"}, cli.Usage},
+		{"vet without input", []string{"vet"}, cli.Usage},
+		{"vet conflicting inputs", []string{"vet", "-builtin", "-extended"}, cli.Usage},
+		{"help", []string{"help"}, cli.OK},
+		{"missing file", []string{"vet", filepath.Join(dir, "absent.cham")}, cli.Failure},
+		{"parse error", []string{"vet", noParse}, cli.BadInput},
+		{"parse error via check", []string{"check", noParse}, cli.BadInput},
+		{"vocabulary error", []string{"vet", badVocab}, cli.Vocab},
+		{"vocabulary error via check", []string{"check", badVocab}, cli.Vocab},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			status, _, _ := runCLI(t, c.args...)
 			if status != c.want {
-				t.Errorf("run(%v) = %d, want %d", c.args, status, c.want)
+				t.Errorf("command.Run(%v) = %d, want %d", c.args, status, c.want)
 			}
 		})
 	}
@@ -176,7 +178,7 @@ func TestExitCodeContract(t *testing.T) {
 // identically.
 func TestFmtRoundTrip(t *testing.T) {
 	status, stdout, stderr := runCLI(t, "fmt", buggyFile)
-	if status != exitOK {
+	if status != cli.OK {
 		t.Fatalf("status = %d, stderr: %s", status, stderr)
 	}
 	rs, err := rules.Parse(stdout)
@@ -186,4 +188,8 @@ func TestFmtRoundTrip(t *testing.T) {
 	if rules.Print(rs) != stdout {
 		t.Error("fmt output is not a fixed point of Print")
 	}
+}
+
+func TestUsageListsEveryFlag(t *testing.T) {
+	clitest.CheckUsage(t, command)
 }

@@ -9,205 +9,120 @@
 //	chameleon-sites -builtin ./...                 # cross-check the builtin rules
 //	chameleon-sites -profile p.json ./...          # cross-check a snapshot
 //
-// Exit codes form a contract scripts can dispatch on, aligned with
-// chameleon-rules:
-//
-//	0  success (no error-severity diagnostics)
-//	1  runtime failure, or error-severity diagnostics (warnings too with -strict)
-//	2  usage error
-//	3  an input does not load: packages fail to type-check, the rules
-//	   file does not parse, or the snapshot does not read
+// Run with -h for the flags and the exit-code contract.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
 	"chameleon/internal/analysis"
+	"chameleon/internal/cli"
 	"chameleon/internal/profiler"
-	"chameleon/internal/rules"
 )
 
-const (
-	exitOK       = 0
-	exitFailure  = 1 // runtime failure, or error-severity diagnostics
-	exitUsage    = 2
-	exitBadInput = 3 // packages, rules, or snapshot fail to load
-)
+var command = &cli.Command{
+	Name: "chameleon-sites",
+	Synopsis: `chameleon-sites [flags] [packages]
 
-func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+Discovers chameleon collection allocation sites, classifies each as safe
+or unsafe for ahead-of-time specialization, and cross-checks the site
+manifest against a rule set (S009/S010) and a profile snapshot (S011)
+(docs/ANALYSIS.md).`,
+	Exits: map[int]string{
+		cli.Failure:  "runtime failure, or error-severity diagnostics (warnings too with -strict)",
+		cli.BadInput: "an input does not load: packages fail to type-check, the rules file does not parse or fails vocabulary checks, or the snapshot does not read",
+	},
+	Setup: setup,
 }
 
-// run executes a full command line and reports the process exit status.
-// It is the testable entry point: main only binds it to os.
-func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("chameleon-sites", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+func main() {
+	os.Exit(command.Run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func setup(fs *flag.FlagSet) cli.Body {
 	dir := fs.String("dir", ".", "directory to resolve package patterns in")
 	manifestPath := fs.String("manifest", "", "write the site manifest JSON to this path")
 	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array")
 	all := fs.Bool("all", false, "print info-level findings too, not only warnings and errors")
 	strict := fs.Bool("strict", false, "exit 1 on warnings, not only errors")
-	rulesFile := fs.String("rules", "", "cross-check a rule file (S009 dead rules, S010 uncovered sites)")
-	builtin := fs.Bool("builtin", false, "cross-check the shipped builtin rule set")
-	extended := fs.Bool("extended", false, "cross-check the shipped extended rule set")
+	src := cli.RuleFlags(fs, cli.RulesFlag|cli.BuiltinFlag|cli.ExtendedFlag)
 	profilePath := fs.String("profile", "", "cross-check a profile snapshot (S011 stale contexts)")
-	fs.Usage = func() { usage(stderr) }
-	if err := fs.Parse(args); err != nil {
-		return exitUsage
-	}
-	patterns := fs.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-
-	var opts analysis.Options
-	sources := 0
-	for _, set := range []bool{*builtin, *extended, *rulesFile != ""} {
-		if set {
-			sources++
+	return func(patterns []string, stdout, stderr io.Writer) error {
+		if len(patterns) == 0 {
+			patterns = []string{"./..."}
 		}
-	}
-	switch {
-	case sources > 1:
-		fmt.Fprintln(stderr, "chameleon-sites: choose one of -rules, -builtin, or -extended")
-		return exitUsage
-	case *builtin:
-		opts.Rules, opts.RuleFile = rules.Builtin(), "<builtin>"
-	case *extended:
-		opts.Rules, opts.RuleFile = rules.Extended(), "<extended>"
-	case *rulesFile != "":
-		src, err := os.ReadFile(*rulesFile)
+		rs, err := src.Load(nil, cli.BadInput)
 		if err != nil {
-			fmt.Fprintln(stderr, "chameleon-sites:", err)
-			return exitBadInput
+			return err
 		}
-		rs, err := rules.Parse(string(src))
-		if err != nil {
-			fmt.Fprintln(stderr, "chameleon-sites:", err)
-			return exitBadInput
-		}
-		opts.Rules, opts.RuleFile = rs, *rulesFile
-	}
-	if *profilePath != "" {
-		f, err := os.Open(*profilePath)
-		if err != nil {
-			fmt.Fprintln(stderr, "chameleon-sites:", err)
-			return exitBadInput
-		}
-		profiles, err := profiler.ReadProfiles(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(stderr, "chameleon-sites:", err)
-			return exitBadInput
-		}
-		opts.Profiles, opts.SnapshotFile = profiles, *profilePath
-	}
-
-	res, err := analysis.Analyze(*dir, patterns, opts)
-	if err != nil {
-		if le, ok := err.(*analysis.LoadError); ok {
-			for _, p := range le.Problems {
-				fmt.Fprintln(stderr, "chameleon-sites:", p)
+		opts := analysis.Options{Rules: rs, RuleFile: src.Label()}
+		if *profilePath != "" {
+			if opts.Profiles, err = profiler.ReadProfilesFile(*profilePath); err != nil {
+				return cli.Exit(cli.BadInput, err)
 			}
-			return exitBadInput
+			opts.SnapshotFile = *profilePath
 		}
-		fmt.Fprintln(stderr, "chameleon-sites:", err)
-		return exitFailure
-	}
 
-	if *manifestPath != "" {
-		if err := analysis.WriteManifestFile(*manifestPath, res.Manifest()); err != nil {
-			fmt.Fprintln(stderr, "chameleon-sites:", err)
-			return exitFailure
+		res, err := analysis.Analyze(*dir, patterns, opts)
+		var le *analysis.LoadError
+		if errors.As(err, &le) {
+			return cli.Exit(cli.BadInput, err)
 		}
-	}
-
-	errors, warnings, infos := 0, 0, 0
-	for _, d := range res.Diagnostics {
-		switch d.Severity {
-		case analysis.SevError:
-			errors++
-		case analysis.SevWarning:
-			warnings++
-		default:
-			infos++
-		}
-	}
-	if *jsonOut {
-		diags := res.Diagnostics
-		if !*all {
-			diags = filterInfo(diags)
-		}
-		if diags == nil {
-			diags = []analysis.Diagnostic{} // always an array, never null
-		}
-		b, err := json.MarshalIndent(diags, "", "  ")
 		if err != nil {
-			fmt.Fprintln(stderr, "chameleon-sites:", err)
-			return exitFailure
+			return err
 		}
-		fmt.Fprintln(stdout, string(b))
-	} else {
+		if *manifestPath != "" {
+			if err := analysis.WriteManifestFile(*manifestPath, res.Manifest()); err != nil {
+				return err
+			}
+		}
+
+		errs, warnings, infos := 0, 0, 0
+		var shown []analysis.Diagnostic
 		for _, d := range res.Diagnostics {
-			if d.Severity == analysis.SevInfo && !*all {
-				continue
+			switch d.Severity {
+			case analysis.SevError:
+				errs++
+			case analysis.SevWarning:
+				warnings++
+			default:
+				infos++
+				if !*all {
+					continue
+				}
 			}
-			fmt.Fprintln(stdout, d)
+			shown = append(shown, d)
 		}
-		safe := 0
-		for _, s := range res.Sites {
-			if s.Safe {
-				safe++
+		if *jsonOut {
+			if shown == nil {
+				shown = []analysis.Diagnostic{} // always an array, never null
 			}
+			b, err := json.MarshalIndent(shown, "", "  ")
+			if err != nil {
+				return err
+			}
+			fmt.Fprintln(stdout, string(b))
+		} else {
+			for _, d := range shown {
+				fmt.Fprintln(stdout, d)
+			}
+			safe := 0
+			for _, s := range res.Sites {
+				if s.Safe {
+					safe++
+				}
+			}
+			fmt.Fprintf(stdout, "%d packages: %d sites (%d safe): %d errors, %d warnings, %d infos\n",
+				len(res.Packages), len(res.Sites), safe, errs, warnings, infos)
 		}
-		fmt.Fprintf(stdout, "%d packages: %d sites (%d safe): %d errors, %d warnings, %d infos\n",
-			len(res.Packages), len(res.Sites), safe, errors, warnings, infos)
-	}
-	if errors > 0 || (*strict && warnings > 0) {
-		return exitFailure
-	}
-	return exitOK
-}
-
-// filterInfo drops info-severity diagnostics.
-func filterInfo(diags []analysis.Diagnostic) []analysis.Diagnostic {
-	var out []analysis.Diagnostic
-	for _, d := range diags {
-		if d.Severity != analysis.SevInfo {
-			out = append(out, d)
+		if errs > 0 || (*strict && warnings > 0) {
+			return cli.Exit(cli.Failure, nil)
 		}
+		return nil
 	}
-	return out
-}
-
-func usage(w io.Writer) int {
-	fmt.Fprint(w, `usage: chameleon-sites [flags] [packages]
-
-Discovers chameleon collection allocation sites, classifies each as safe
-or unsafe for ahead-of-time specialization, and cross-checks the site
-manifest against rule sets and profile snapshots (docs/ANALYSIS.md).
-
-flags:
-  -dir D           directory to resolve package patterns in (default ".")
-  -manifest F      write the versioned site manifest JSON to F
-  -json            emit diagnostics as a JSON array
-  -all             print info-level findings too (classification facts)
-  -strict          exit 1 on warnings, not only errors
-  -rules F         cross-check a rule file (S009/S010)
-  -builtin         cross-check the shipped builtin rule set
-  -extended        cross-check the shipped extended rule set
-  -profile F       cross-check a profile snapshot (S011)
-
-exit codes:
-  0  success (no error-severity diagnostics)
-  1  runtime failure, or error-severity diagnostics (warnings too with -strict)
-  2  usage error
-  3  an input does not load (packages, rules file, or snapshot)
-`)
-	return exitUsage
 }

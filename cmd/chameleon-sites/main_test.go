@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"chameleon/internal/analysis"
+	"chameleon/internal/cli"
+	"chameleon/internal/cli/clitest"
 )
 
 // repoRoot is resolved at package init, before any test chdirs away
@@ -28,13 +30,13 @@ func runCLI(t *testing.T, args ...string) (status int, stdout, stderr string) {
 	t.Helper()
 	t.Chdir(repoRoot)
 	var out, errb bytes.Buffer
-	status = run(args, &out, &errb)
+	status = command.Run(args, &out, &errb)
 	return status, out.String(), errb.String()
 }
 
 func TestCleanTreeExitsZero(t *testing.T) {
 	status, stdout, stderr := runCLI(t, "./examples/sitecheck/safe/...")
-	if status != exitOK {
+	if status != cli.OK {
 		t.Fatalf("exit = %d, want 0\nstdout: %s\nstderr: %s", status, stdout, stderr)
 	}
 	if !strings.Contains(stdout, "0 errors, 0 warnings") {
@@ -44,7 +46,7 @@ func TestCleanTreeExitsZero(t *testing.T) {
 
 func TestUnsafeFixturesExitOne(t *testing.T) {
 	status, stdout, _ := runCLI(t, "./examples/sitecheck/...")
-	if status != exitFailure {
+	if status != cli.Failure {
 		t.Fatalf("exit = %d, want 1 (error-severity findings planted)\n%s", status, stdout)
 	}
 	for _, code := range []string{"S003", "S005", "S006", "S007"} {
@@ -60,7 +62,7 @@ func TestUnsafeFixturesExitOne(t *testing.T) {
 
 func TestAllIncludesInfo(t *testing.T) {
 	status, stdout, _ := runCLI(t, "-all", "./examples/sitecheck/unsafe/...")
-	if status != exitFailure {
+	if status != cli.Failure {
 		t.Fatalf("exit = %d, want 1", status)
 	}
 	for _, code := range []string{"S001", "S002", "S004", "S008"} {
@@ -75,25 +77,25 @@ func TestStrictPromotesWarnings(t *testing.T) {
 	// is dead against it produces exactly one S009 warning.
 	dir := t.TempDir()
 	rulesPath := filepath.Join(dir, "dead.cham")
-	if err := os.WriteFile(rulesPath, []byte("LinkedList : #get > 4 -> ArrayList\n"), 0o644); err != nil {
+	if err := os.WriteFile(rulesPath, []byte("LinkedList : #get(int) > 4 -> ArrayList\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	status, stdout, _ := runCLI(t, "-rules", rulesPath, "./examples/sitecheck/safe/...")
-	if status != exitOK {
+	if status != cli.OK {
 		t.Fatalf("warnings alone must not fail: exit = %d\n%s", status, stdout)
 	}
 	if !strings.Contains(stdout, "S009") {
 		t.Fatalf("expected the dead-rule warning:\n%s", stdout)
 	}
 	status, _, _ = runCLI(t, "-strict", "-rules", rulesPath, "./examples/sitecheck/safe/...")
-	if status != exitFailure {
+	if status != cli.Failure {
 		t.Fatalf("-strict exit = %d, want 1", status)
 	}
 }
 
 func TestJSONOutput(t *testing.T) {
 	status, stdout, _ := runCLI(t, "-json", "-all", "./examples/sitecheck/unsafe/...")
-	if status != exitFailure {
+	if status != cli.Failure {
 		t.Fatalf("exit = %d, want 1", status)
 	}
 	var diags []analysis.Diagnostic
@@ -107,7 +109,7 @@ func TestJSONOutput(t *testing.T) {
 
 func TestJSONEmptyIsArray(t *testing.T) {
 	status, stdout, _ := runCLI(t, "-json", "./examples/sitecheck/safe/...")
-	if status != exitOK {
+	if status != cli.OK {
 		t.Fatalf("exit = %d, want 0", status)
 	}
 	if strings.TrimSpace(stdout) != "[]" {
@@ -118,7 +120,7 @@ func TestJSONEmptyIsArray(t *testing.T) {
 func TestManifestFlag(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sites.json")
 	status, _, stderr := runCLI(t, "-manifest", path, "./examples/sitecheck/safe/...")
-	if status != exitOK {
+	if status != cli.OK {
 		t.Fatalf("exit = %d: %s", status, stderr)
 	}
 	m, err := analysis.ReadManifestFile(path)
@@ -131,19 +133,19 @@ func TestManifestFlag(t *testing.T) {
 }
 
 func TestUsageErrors(t *testing.T) {
-	if status, _, _ := runCLI(t, "-no-such-flag"); status != exitUsage {
+	if status, _, _ := runCLI(t, "-no-such-flag"); status != cli.Usage {
 		t.Errorf("unknown flag exit = %d, want 2", status)
 	}
-	if status, _, _ := runCLI(t, "-builtin", "-extended", "./..."); status != exitUsage {
+	if status, _, _ := runCLI(t, "-builtin", "-extended", "./..."); status != cli.Usage {
 		t.Errorf("conflicting rule sources exit = %d, want 2", status)
 	}
 }
 
 func TestBadInputsExitThree(t *testing.T) {
-	if status, _, _ := runCLI(t, "./no/such/package/..."); status != exitBadInput {
+	if status, _, _ := runCLI(t, "./no/such/package/..."); status != cli.BadInput {
 		t.Errorf("unloadable pattern exit = %d, want 3", status)
 	}
-	if status, _, _ := runCLI(t, "-rules", "no-such-file.cham", "./examples/sitecheck/safe/..."); status != exitBadInput {
+	if status, _, _ := runCLI(t, "-rules", "no-such-file.cham", "./examples/sitecheck/safe/..."); status != cli.BadInput {
 		t.Errorf("missing rules file exit = %d, want 3", status)
 	}
 	dir := t.TempDir()
@@ -151,14 +153,21 @@ func TestBadInputsExitThree(t *testing.T) {
 	if err := os.WriteFile(bad, []byte("this is not a rule"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if status, _, _ := runCLI(t, "-rules", bad, "./examples/sitecheck/safe/..."); status != exitBadInput {
+	if status, _, _ := runCLI(t, "-rules", bad, "./examples/sitecheck/safe/..."); status != cli.BadInput {
 		t.Errorf("unparseable rules exit = %d, want 3", status)
+	}
+	vocab := filepath.Join(dir, "vocab.cham")
+	if err := os.WriteFile(vocab, []byte("ArrayList : #frob > X -> LinkedList\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if status, _, _ := runCLI(t, "-rules", vocab, "./examples/sitecheck/safe/..."); status != cli.BadInput {
+		t.Errorf("rules failing vocabulary checks exit = %d, want 3", status)
 	}
 	snap := filepath.Join(dir, "bad.snap")
 	if err := os.WriteFile(snap, []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if status, _, _ := runCLI(t, "-profile", snap, "./examples/sitecheck/safe/..."); status != exitBadInput {
+	if status, _, _ := runCLI(t, "-profile", snap, "./examples/sitecheck/safe/..."); status != cli.BadInput {
 		t.Errorf("unreadable snapshot exit = %d, want 3", status)
 	}
 }
@@ -168,7 +177,11 @@ func TestBuiltinCrossCheck(t *testing.T) {
 	// and any dead-rule/uncovered findings are warnings/infos, never a
 	// crash. (Exit is 1 from the planted error-severity sites.)
 	status, stdout, stderr := runCLI(t, "-builtin", "./examples/sitecheck/...")
-	if status != exitFailure {
+	if status != cli.Failure {
 		t.Fatalf("exit = %d, want 1 (planted errors)\nstdout: %s\nstderr: %s", status, stdout, stderr)
 	}
+}
+
+func TestUsageListsEveryFlag(t *testing.T) {
+	clitest.CheckUsage(t, command)
 }

@@ -55,12 +55,9 @@ type LoadError struct {
 	Problems []string
 }
 
-// Error implements error.
+// Error lists every problem, one per line.
 func (e *LoadError) Error() string {
-	if len(e.Problems) == 1 {
-		return e.Problems[0]
-	}
-	return fmt.Sprintf("%s (and %d more problems)", e.Problems[0], len(e.Problems)-1)
+	return strings.Join(e.Problems, "\n")
 }
 
 // listPkg is the subset of `go list -json` output the loader consumes.

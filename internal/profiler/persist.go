@@ -170,7 +170,16 @@ func WriteProfilesFile(path string, profiles []*Profile) error {
 // inspect per-record reports fail loudly instead of silently computing on
 // partial evidence.
 func ReadProfiles(r io.Reader) ([]*Profile, error) {
-	profiles, recErrs, err := ReadProfilesReport(r)
+	return foldDamage(ReadProfilesReport(r))
+}
+
+// ReadProfilesFile opens path and reads it with ReadProfiles' strictness:
+// record damage is an error.
+func ReadProfilesFile(path string) ([]*Profile, error) {
+	return foldDamage(ReadProfilesFileReport(path))
+}
+
+func foldDamage(profiles []*Profile, recErrs []RecordError, err error) ([]*Profile, error) {
 	if err != nil {
 		return nil, err
 	}
