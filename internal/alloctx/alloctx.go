@@ -6,15 +6,17 @@
 // The paper implements context capture three ways — walking a Throwable's
 // stack frames (slow), JVMTI (faster), and a planned lightweight VM
 // modification. We mirror that cost spectrum with two modes: Dynamic
-// capture walks the real Go call stack with runtime.Callers (the
-// Throwable/JVMTI analogue, measurably expensive), while Static contexts
-// are pre-interned labels handed out by the allocation site itself (the
-// "VM support" analogue, nearly free). Sampling (§4.2 "Sampling of
-// Allocation Context") further mitigates dynamic-capture cost.
+// capture walks the real Go call stack (the Throwable/JVMTI analogue):
+// runtime.Callers on a stack's first capture, and the frame-pointer chain
+// memo (chain.go) once the stack is warm. Static contexts are pre-interned
+// labels handed out by the allocation site itself (the "VM support"
+// analogue, nearly free). Sampling (§4.2 "Sampling of Allocation Context")
+// further mitigates dynamic-capture cost.
 package alloctx
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"strings"
 	"sync"
@@ -37,6 +39,10 @@ type Context struct {
 	pcs    []uintptr // raw program counters (dynamic captures only)
 	frames []Frame
 	label  string
+
+	// chained is set while the chain memo holds a chain for this context;
+	// one chain per context bounds the memo by the table.
+	chained atomic.Bool
 
 	// scratch is an opaque cache slot for the context's consumers: the
 	// profiler stores its per-context aggregate here so the allocation hot
@@ -136,6 +142,19 @@ func hashString(s string) uint64 {
 // static labels take no lock at all.
 type Table struct {
 	byKey sync.Map // uint64 -> *Context
+
+	// chains memoizes dynamic captures by the return addresses on their
+	// frame-pointer chain (chain.go): a warm capture walks those, hashes
+	// them and loads its *Context here, without runtime.Callers. Stores
+	// are first-writer-wins, one chain per admitted context, so the memo
+	// never holds more entries than Len(). Bit n of chainLens is set once
+	// a chain of n walked frames is stored: the lengths a hit must try.
+	chains    sync.Map // uint64 chain hash -> *chain
+	chainLens atomic.Uint64
+
+	// verify is a test hook: when set, a chain-memo hit also runs the
+	// runtime.Callers path, and verify receives both contexts.
+	verify func(memo, callers *Context)
 
 	// statics memoizes Static lookups by label. It is the read half of an
 	// amortised read/dirty memo that follows sync.Map's promotion rule. The
@@ -318,23 +337,66 @@ func (t *Table) staticSlow(label string) *Context {
 	return ctx
 }
 
+// maxDepth caps the frames of a dynamic context.
+const maxDepth = 16
+
 // CaptureDynamic walks the caller's stack, skipping skip frames above the
 // caller of CaptureDynamic itself, and interns a context of at most depth
-// frames. Frame symbolization only happens the first time a given stack is
-// seen; repeat captures pay only for runtime.Callers plus a map lookup,
-// like the paper's native implementation that "works directly with unique
-// identifiers, without constructing intermediate objects".
+// frames. A warm stack resolves through the chain memo: the return
+// addresses on its frame-pointer chain, read without runtime.Callers, are
+// hashed and looked up (chain.go), like the paper's native implementation
+// that "works directly with unique identifiers, without constructing
+// intermediate objects". Any other capture runs runtime.Callers, which
+// alone decides the context's key and frames; frame symbolization happens
+// only the first time a stack is seen.
+//
+// CaptureDynamic must not be inlined: getfp reads the frame pointer of
+// CaptureDynamic's own frame.
+//
+//go:noinline
 func (t *Table) CaptureDynamic(skip, depth int) *Context {
 	if depth <= 0 {
 		depth = 2
 	}
-	var pcbuf [16]uintptr
-	if depth > len(pcbuf) {
-		depth = len(pcbuf)
+	if depth > maxDepth {
+		depth = maxDepth
 	}
-	// +2 skips runtime.Callers and CaptureDynamic itself.
-	n := runtime.Callers(skip+2, pcbuf[:depth])
-	pcs := pcbuf[:n]
+	var rets [maxChain + 1]uintptr
+	var hit *Context
+	if lens := t.chainLens.Load(); lens != 0 {
+		// One frame beyond the longest chain tells whether a walk ended.
+		n := walkFrames(getfp(), rets[:bits.Len64(lens)])
+		if hit = t.chainHit(rets[:n], lens, skip, depth); hit != nil && t.verify == nil {
+			return hit
+		}
+	}
+	walked := rets[:walkFrames(getfp(), rets[:])]
+
+	// +2 skips runtime.Callers and CaptureDynamic itself. The skipped
+	// frames stay in logical so that memoize can line it up with walked;
+	// pcs is then exactly what runtime.Callers(skip+2, …) returns.
+	var pcbuf [2 * maxDepth]uintptr
+	var logical, pcs []uintptr
+	if skip >= 0 && skip+depth <= len(pcbuf) {
+		logical = pcbuf[:runtime.Callers(2, pcbuf[:skip+depth])]
+		pcs = logical[min(skip, len(logical)):]
+	} else {
+		pcs = pcbuf[:runtime.Callers(skip+2, pcbuf[:depth])]
+	}
+	ctx := t.internPCs(pcs)
+	if hit != nil {
+		t.verify(hit, ctx)
+		return hit
+	}
+	if logical != nil {
+		t.memoize(ctx, walked, logical, skip, depth)
+	}
+	return ctx
+}
+
+// internPCs resolves a logical stack to its context, symbolizing and
+// interning it on first sight.
+func (t *Table) internPCs(pcs []uintptr) *Context {
 	key := hashPCs(pcs)
 	if c, ok := t.byKey.Load(key); ok {
 		// The occupant is almost always this very stack; the PC compare
@@ -346,10 +408,10 @@ func (t *Table) CaptureDynamic(skip, depth int) *Context {
 
 	// Symbolize before interning; duplicate work on a race is harmless
 	// because LoadOrStore is first-writer-wins. Only the heap copy may
-	// reach runtime.CallersFrames: handing it pcbuf would move pcbuf to
-	// the heap and make every capture, hits included, allocate.
+	// reach runtime.CallersFrames: handing it the caller's buffer would
+	// move that buffer to the heap and make every capture allocate.
 	owned := append([]uintptr(nil), pcs...)
-	frames := make([]Frame, 0, n)
+	frames := make([]Frame, 0, len(pcs))
 	it := runtime.CallersFrames(owned)
 	for {
 		fr, more := it.Next()

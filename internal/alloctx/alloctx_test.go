@@ -7,7 +7,7 @@ import (
 )
 
 func TestStaticInterning(t *testing.T) {
-	tab := NewTable()
+	tab := newTable(t)
 	a := tab.Static("tvla.util.HashMapFactory:31;tvla.core.base.BaseTVS:50")
 	b := tab.Static("tvla.util.HashMapFactory:31;tvla.core.base.BaseTVS:50")
 	c := tab.Static("other:1")
@@ -50,7 +50,7 @@ func captureFromA(tab *Table) *Context { return tab.CaptureDynamic(0, 2) }
 func captureFromB(tab *Table) *Context { return tab.CaptureDynamic(0, 2) }
 
 func TestDynamicCaptureDistinguishesSites(t *testing.T) {
-	tab := NewTable()
+	tab := newTable(t)
 	var caps []*Context
 	for i := 0; i < 2; i++ {
 		caps = append(caps, captureFromA(tab)) // same call site both times
@@ -75,7 +75,7 @@ func TestDynamicCaptureDistinguishesSites(t *testing.T) {
 }
 
 func TestDynamicCaptureDepth(t *testing.T) {
-	tab := NewTable()
+	tab := newTable(t)
 	deep := func() *Context { return tab.CaptureDynamic(0, 3) }
 	c := deep()
 	if len(c.Frames()) != 3 {

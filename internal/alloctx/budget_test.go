@@ -10,7 +10,7 @@ import (
 // alias to the shared overflow context instead of growing the table; the
 // denial counter tracks them and the table stays bounded.
 func TestBudgetDeniesIntoOverflow(t *testing.T) {
-	tbl := NewTable()
+	tbl := newTable(t)
 	tbl.SetMaxContexts(4)
 
 	var admitted []*Context
@@ -41,7 +41,7 @@ func TestBudgetDeniesIntoOverflow(t *testing.T) {
 // entry (that would defeat the bound) and must stay denied while full —
 // but an already-admitted label keeps resolving to its own context.
 func TestBudgetDenialNotMemoized(t *testing.T) {
-	tbl := NewTable()
+	tbl := newTable(t)
 	tbl.SetMaxContexts(2)
 	a := tbl.Static("memo.test:a")
 	b := tbl.Static("memo.test:b")
@@ -61,9 +61,42 @@ func TestBudgetDenialNotMemoized(t *testing.T) {
 	}
 }
 
+// captureBudgeted is one fixed call site for the dynamic budget tests; at
+// depth 1 its context does not depend on where it is called from.
+//
+//go:noinline
+func captureBudgeted(tbl *Table) *Context { return tbl.CaptureDynamic(0, 1) }
+
+// TestBudgetDynamicDenialNotMemoized mirrors TestBudgetDenialNotMemoized
+// for the chain memo: a stack denied by the budget must not memoise its
+// chain to the overflow context, and is admitted — and then memoised — once
+// the budget is raised.
+func TestBudgetDynamicDenialNotMemoized(t *testing.T) {
+	tbl := newTable(t)
+	tbl.SetMaxContexts(1)
+	pinned := tbl.Static("dyn.memo:pinned")
+	for i := 0; i < 3; i++ {
+		if got := captureBudgeted(tbl); got != tbl.Overflow() {
+			t.Fatalf("denied stack resolved to %v on attempt %d", got, i)
+		}
+	}
+	if n := ChainCount(tbl); n != 0 {
+		t.Fatalf("denied stack memoised %d chains", n)
+	}
+	tbl.SetMaxContexts(0)
+	admitted := captureBudgeted(tbl)
+	if admitted == tbl.Overflow() || admitted == pinned || admitted.Key() == 0 {
+		t.Fatalf("stack not re-admitted after raising the budget: %v", admitted)
+	}
+	hits := VerifyChains(t, tbl)
+	if got := captureBudgeted(tbl); got != admitted || hits.Load() != 1 {
+		t.Fatalf("warm admitted capture = %v (memo hits %d), want %v from the memo", got, hits.Load(), admitted)
+	}
+}
+
 // TestBudgetDynamicCapture: dynamic captures obey the same budget.
 func TestBudgetDynamicCapture(t *testing.T) {
-	tbl := NewTable()
+	tbl := newTable(t)
 	tbl.SetMaxContexts(1)
 	tbl.Static("dyn.test:pinned")
 	c := tbl.CaptureDynamic(1, 2)
@@ -76,7 +109,7 @@ func TestBudgetDynamicCapture(t *testing.T) {
 // documented Len() <= MaxContexts()+1 must hold exactly, the +1 being the
 // budget-exempt overflow context, never a user context.
 func TestBudgetConcurrentBound(t *testing.T) {
-	tbl := NewTable()
+	tbl := newTable(t)
 	tbl.SetMaxContexts(8)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

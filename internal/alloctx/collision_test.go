@@ -7,7 +7,7 @@ import "testing"
 // the disambiguation. Real collisions are ~2^-64 events, so the test
 // manufactures one by pre-occupying a label's key with a different context.
 func TestCollisionDisambiguation(t *testing.T) {
-	tab := NewTable()
+	tab := newTable(t)
 	key := hashString("static:a")
 	tab.byKey.Store(key, &Context{key: key, label: "b"})
 	tab.count.Add(1)
@@ -47,7 +47,7 @@ func TestCollisionDisambiguation(t *testing.T) {
 // Len is maintained by an atomic counter instead of ranging the sync.Map;
 // it must agree with the number of distinct interned contexts.
 func TestLenIsCounted(t *testing.T) {
-	tab := NewTable()
+	tab := newTable(t)
 	if tab.Len() != 0 {
 		t.Fatalf("empty table Len = %d", tab.Len())
 	}

@@ -16,7 +16,7 @@ func TestStaticKeyMatchesInterning(t *testing.T) {
 		"",
 		"weird:label;with;semis:1",
 	}
-	tab := NewTable()
+	tab := newTable(t)
 	for _, l := range labels {
 		if got, want := tab.Static(l).Key(), StaticKey(l); got != want {
 			t.Errorf("Static(%q).Key() = %#x, StaticKey = %#x", l, got, want)
@@ -25,7 +25,7 @@ func TestStaticKeyMatchesInterning(t *testing.T) {
 }
 
 func TestStaticKeyMatchesOverflow(t *testing.T) {
-	tab := NewTable()
+	tab := newTable(t)
 	if got, want := tab.Overflow().Key(), StaticKey(OverflowLabel); got != want {
 		t.Errorf("Overflow().Key() = %#x, StaticKey(OverflowLabel) = %#x", got, want)
 	}
@@ -65,7 +65,7 @@ func TestJoinAndFirstFrame(t *testing.T) {
 // context through the same per-frame derivation the analyzer uses: every
 // rendered frame is SiteLabel(frame.Function, frame.Line).
 func TestDynamicStringUsesSiteLabels(t *testing.T) {
-	tab := NewTable()
+	tab := newTable(t)
 	ctx := tab.CaptureDynamic(0, 2)
 	frames := ctx.Frames()
 	if len(frames) == 0 {

@@ -9,10 +9,10 @@ import (
 
 // TestWarmCaptureAllocatesNothing: once a label or a stack is interned,
 // capturing it again must not touch the heap — neither the Static memo hit
-// (one atomic load plus one map access) nor the CaptureDynamic hit (stack
-// PCs in a stack buffer, one sync.Map lookup).
+// (one atomic load plus one map access) nor the CaptureDynamic hit (return
+// addresses walked into a stack buffer, one sync.Map lookup).
 func TestWarmCaptureAllocatesNothing(t *testing.T) {
-	tab := NewTable()
+	tab := newTable(t)
 	for i := 0; i < 64; i++ {
 		tab.Static(fmt.Sprintf("warm.test:%d", i))
 	}
@@ -45,6 +45,16 @@ func TestWarmCaptureAllocatesNothing(t *testing.T) {
 	if moved {
 		t.Fatal("warm dynamic hit resolved to another context")
 	}
+	// Those hits came from the chain memo, not from runtime.Callers plus
+	// a byKey lookup: the verify hook fires on memo hits only.
+	if ChainCount(tab) != 1 {
+		t.Fatalf("chain memo holds %d chains, want 1", ChainCount(tab))
+	}
+	hits := VerifyChains(t, tab)
+	testing.AllocsPerRun(1, capture)
+	if hits.Load() != 2 || moved {
+		t.Fatalf("%d of 2 warm CaptureDynamic calls resolved through the chain memo", hits.Load())
+	}
 }
 
 // TestStaticMemoLinear enforces the memo's amortised O(1) insertion: a
@@ -59,7 +69,7 @@ func TestStaticMemoLinear(t *testing.T) {
 	for i := range labels {
 		labels[i] = fmt.Sprintf("linear.test:%d", i)
 	}
-	tab := NewTable()
+	tab := newTable(t)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for _, l := range labels {
@@ -87,7 +97,7 @@ func TestStaticMemoConcurrentPromotion(t *testing.T) {
 		stride  = 256  // writer g starts at g*stride, so neighbours overlap
 		hot     = 16
 	)
-	tab := NewTable()
+	tab := newTable(t)
 	hotCtx := make([]*Context, hot)
 	for i := range hotCtx {
 		hotCtx[i] = tab.Static(fmt.Sprintf("promo.hot:%d", i))
