@@ -101,8 +101,10 @@ func (p *Profile) toWire() profileWire {
 const (
 	// maxWireCount is the sanity ceiling on any deserialized counter: a
 	// count above 2^53 cannot have been produced by this profiler (it
-	// exceeds exact float64 integers, which the Welford statistics flow
-	// through) and marks a corrupt or adversarial record.
+	// exceeds exact float64 integers, which the reported means and
+	// standard deviations are) and marks a corrupt or adversarial record.
+	// The profiler's 128-bit sums of squares hold any per-instance count up
+	// to this ceiling exactly.
 	maxWireCount = int64(1) << 53
 	// maxWireSize is the sanity ceiling on any deserialized size or
 	// statistic (bytes, elements, means): ~1e15, far beyond any simulated

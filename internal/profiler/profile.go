@@ -71,7 +71,10 @@ type Profile struct {
 	GCCycles int64
 }
 
+// newProfile derives the per-instance means and standard deviations from
+// the aggregate's integer moments over its ci.deaths folded instances.
 func newProfile(ci *ContextInfo, live int64) *Profile {
+	n := float64(ci.deaths)
 	p := &Profile{
 		Context:        ci.ctx,
 		Declared:       ci.declared,
@@ -79,11 +82,11 @@ func newProfile(ci *ContextInfo, live int64) *Profile {
 		Allocs:         ci.allocs,
 		Live:           live,
 		Evidence:       ci.deaths,
-		MaxSizeAvg:     ci.maxSize.Mean(),
-		MaxSizeStdDev:  ci.maxSize.StdDev(),
-		MaxSizeMax:     ci.maxSize.Max(),
-		FinalSizeAvg:   ci.finalSz.Mean(),
-		InitialCapAvg:  ci.initCap.Mean(),
+		MaxSizeAvg:     stats.Ratio(float64(ci.maxSizeSum), n),
+		MaxSizeStdDev:  stats.StdDevOf(ci.deaths, ci.maxSizeSum, ci.maxSizeSq),
+		MaxSizeMax:     float64(ci.maxSizeMax),
+		FinalSizeAvg:   stats.Ratio(float64(ci.finalSizeSum), n),
+		InitialCapAvg:  stats.Ratio(float64(ci.initCapSum), n),
 		SizeHist:       ci.sizeHist,
 		EmptyIterators: ci.emptyIters,
 		OwnerSamples:   ci.ownerSamples,
@@ -96,8 +99,8 @@ func newProfile(ci *ContextInfo, live int64) *Profile {
 	}
 	for op := spec.Op(0); op < spec.NumOps; op++ {
 		p.OpTotals[op] = ci.opTotals[op]
-		p.OpMean[op] = ci.opStats[op].Mean()
-		p.OpStdDev[op] = ci.opStats[op].StdDev()
+		p.OpMean[op] = stats.Ratio(float64(ci.opTotals[op]), n)
+		p.OpStdDev[op] = stats.StdDevOf(ci.deaths, ci.opTotals[op], ci.opSq[op])
 	}
 	return p
 }

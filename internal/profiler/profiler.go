@@ -36,9 +36,12 @@ import (
 // use it. The batched mode (the Buffer* methods, drained by FlushPending)
 // is owner-only. Snapshot readers may observe the atomics mid-flight.
 type Instance struct {
-	p          *Profiler
-	info       *ContextInfo
-	ops        [spec.NumOps]atomic.Int64
+	info *ContextInfo
+	ops  [spec.NumOps]atomic.Int64
+	// touched is the lifetime mask of the ops this instance used: bit i is
+	// set before ops[i] first moves off zero, so fold and reset visit only
+	// the set bits. A collection touches a few of the NumOps counters.
+	touched    atomic.Uint32
 	maxSize    atomic.Int64
 	finalSize  atomic.Int64
 	emptyIters atomic.Int64
@@ -82,7 +85,17 @@ func (in *Instance) Record(op spec.Op) {
 	if in == nil {
 		return
 	}
+	in.touch(1 << uint(op))
 	in.ops[op].Add(1)
+}
+
+// touch adds ops to the lifetime mask. The load-guard skips the atomic
+// read-modify-write once every bit is already set, which is the common case
+// after a collection's first few operations.
+func (in *Instance) touch(mask uint32) {
+	if in.touched.Load()&mask != mask {
+		in.touched.Or(mask)
+	}
 }
 
 // NoteSize records the collection's size after an operation, maintaining
@@ -171,6 +184,7 @@ func (in *Instance) BufferEmptyIterator() {
 // is the collection's current size; it is published only when a buffered
 // mutation moved the size.
 func (in *Instance) FlushPending(final int64) {
+	in.touch(in.pend.mask)
 	for m := in.pend.mask; m != 0; m &= m - 1 {
 		op := spec.Op(bits.TrailingZeros32(m))
 		in.ops[op].Add(int64(in.pend.ops[op]))
@@ -188,17 +202,16 @@ func (in *Instance) FlushPending(final int64) {
 	}
 }
 
-// reset zeroes the record for recycling. Load-guarded stores skip the
-// atomic writes for counters that are already zero (most of the op array,
-// for any one collection); the dead flag deliberately stays true until
-// OnAlloc re-arms the record, so a stale double-OnDeath remains a no-op
-// even after the record has been returned to the pool.
+// reset zeroes the record for recycling. Only the touched op counters can
+// be non-zero; load-guarded stores skip the atomic writes for the other
+// counters that are already zero. The dead flag deliberately stays true
+// until OnAlloc re-arms the record, so a stale double-OnDeath remains a
+// no-op even after the record has been returned to the pool.
 func (in *Instance) reset() {
-	for i := range in.ops {
-		if in.ops[i].Load() != 0 {
-			in.ops[i].Store(0)
-		}
+	for m := in.touched.Load(); m != 0; m &= m - 1 {
+		in.ops[bits.TrailingZeros32(m)].Store(0)
 	}
+	in.touched.Store(0)
 	if in.maxSize.Load() != 0 {
 		in.maxSize.Store(0)
 	}
@@ -253,12 +266,18 @@ type ContextInfo struct {
 	win    *ContextInfo
 	winGen int64
 
-	opTotals [spec.NumOps]int64
-	opStats  [spec.NumOps]stats.Welford
-	maxSize  stats.Welford
-	finalSz  stats.Welford
-	initCap  stats.Welford
-	sizeHist *stats.Histogram
+	// Per-instance trace statistics as exact integer moments over the
+	// deaths folded instances: sums (Σx), sums of squares (Σx²) where a
+	// standard deviation is reported, and the largest maximal size.
+	// newProfile derives means and standard deviations from them.
+	opTotals     [spec.NumOps]int64
+	opSq         [spec.NumOps]stats.SumSq
+	maxSizeSum   int64
+	maxSizeSq    stats.SumSq
+	maxSizeMax   int64
+	finalSizeSum int64
+	initCapSum   int64
+	sizeHist     *stats.Histogram
 
 	emptyIters int64
 
@@ -288,17 +307,24 @@ type ContextInfo struct {
 	isOverflow bool
 }
 
+// fold adds one instance record to the aggregate. An untouched op
+// contributes zero to both of its sums, so only the touched ones are read.
 func (ci *ContextInfo) fold(in *Instance) {
 	ci.deaths++
-	for op := spec.Op(0); op < spec.NumOps; op++ {
+	for m := in.touched.Load(); m != 0; m &= m - 1 {
+		op := bits.TrailingZeros32(m)
 		n := in.ops[op].Load()
 		ci.opTotals[op] += n
-		ci.opStats[op].Add(float64(n))
+		ci.opSq[op].Add(uint64(n))
 	}
 	maxSize := in.maxSize.Load()
-	ci.maxSize.Add(float64(maxSize))
-	ci.finalSz.Add(float64(in.finalSize.Load()))
-	ci.initCap.Add(float64(in.initialCap))
+	ci.maxSizeSum += maxSize
+	ci.maxSizeSq.Add(uint64(maxSize))
+	if maxSize > ci.maxSizeMax {
+		ci.maxSizeMax = maxSize
+	}
+	ci.finalSizeSum += in.finalSize.Load()
+	ci.initCapSum += in.initialCap
 	ci.sizeHist.Add(maxSize)
 	ci.emptyIters += in.emptyIters.Load()
 	ci.ownerSamples += in.ownerSamples.Load()
@@ -315,8 +341,8 @@ func (ci *ContextInfo) clone() *ContextInfo {
 }
 
 // absorb merges every aggregate of src into ci. It is how an evicted cold
-// context's statistics survive inside the overflow aggregate: counts sum,
-// Welford moments merge exactly (Chan et al.), histograms merge bucket-wise,
+// context's statistics survive inside the overflow aggregate: counts and
+// integer moments sum exactly, histograms merge bucket-wise,
 // and heap totals sum while heap maxima take the component-wise max — so
 // session-wide totals stay exact under eviction, only per-context
 // attribution coarsens. gcCycles sums too: for the aggregate it counts
@@ -326,11 +352,15 @@ func (ci *ContextInfo) absorb(src *ContextInfo) {
 	ci.deaths += src.deaths
 	for op := spec.Op(0); op < spec.NumOps; op++ {
 		ci.opTotals[op] += src.opTotals[op]
-		ci.opStats[op].Merge(src.opStats[op])
+		ci.opSq[op].Merge(src.opSq[op])
 	}
-	ci.maxSize.Merge(src.maxSize)
-	ci.finalSz.Merge(src.finalSz)
-	ci.initCap.Merge(src.initCap)
+	ci.maxSizeSum += src.maxSizeSum
+	ci.maxSizeSq.Merge(src.maxSizeSq)
+	if src.maxSizeMax > ci.maxSizeMax {
+		ci.maxSizeMax = src.maxSizeMax
+	}
+	ci.finalSizeSum += src.finalSizeSum
+	ci.initCapSum += src.initCapSum
 	ci.sizeHist.Merge(src.sizeHist)
 	ci.emptyIters += src.emptyIters
 	ci.ownerSamples += src.ownerSamples
@@ -564,7 +594,6 @@ func (p *Profiler) OnAlloc(ctx *alloctx.Context, declared, impl spec.Kind, initi
 	if in == nil {
 		in = &Instance{}
 	}
-	in.p = p
 	in.initialCap = int64(initialCap)
 	ci, _ := ctx.Scratch().(*ContextInfo)
 	hot := ci != nil && ci.owner == p && ci.key == key

@@ -35,6 +35,58 @@ func TestRecycledInstanceStartsClean(t *testing.T) {
 	}
 }
 
+// reset visits only the ops in the lifetime mask, so a record touched
+// through both recording paths, including an op that only the shared path
+// (Record) ever saw, must come back from the pool with every counter zero.
+func TestRecycledInstanceResetsEveryCounter(t *testing.T) {
+	p := New()
+	ctx := alloctx.NewTable().Static("recycle:2")
+	in := p.OnAlloc(ctx, spec.KindList, spec.KindArrayList, 16)
+	in.Buffer(spec.Add)
+	in.Buffer(spec.GetIndex)
+	in.BufferSize(5)
+	in.BufferEmptyIterator()
+	in.FlushPending(5)
+	in.Buffer(spec.SetAt) // left pending: the death fold does not see it
+	in.BufferSize(6)
+	in.Record(spec.GetIndex)
+	in.Record(spec.Contains) // shared path only
+	in.NoteSize(9)
+	in.NoteEmptyIterator()
+	in.SampleOwner(1)
+	in.SampleOwner(2)
+	p.OnDeath(in)
+
+	clean := func(in *Instance) {
+		t.Helper()
+		for op := range in.ops {
+			if n := in.ops[op].Load(); n != 0 {
+				t.Errorf("op %s = %d after recycling", spec.Op(op), n)
+			}
+		}
+		if m := in.touched.Load(); m != 0 {
+			t.Errorf("touched mask = %#x after recycling", m)
+		}
+		counters := [...]int64{in.maxSize.Load(), in.finalSize.Load(), in.emptyIters.Load(),
+			int64(in.ownerHash.Load()), in.ownerSamples.Load(), in.ownerMoves.Load(), in.initialCap}
+		if counters != [len(counters)]int64{} {
+			t.Errorf("size/iterator/owner/capacity counters = %v after recycling", counters)
+		}
+		if in.pend != (pending{}) {
+			t.Errorf("pending buffer = %+v after recycling", in.pend)
+		}
+	}
+	clean(in) // what the pool holds
+	in2 := p.OnAlloc(ctx, spec.KindList, spec.KindArrayList, 0)
+	clean(in2) // what the pool hands out, whichever record it is
+	p.OnDeath(in2)
+
+	prof := p.SnapshotContext(ctx.Key())
+	if prof.OpTotals[spec.Contains] != 1 || prof.OpTotals[spec.GetIndex] != 2 || prof.OpTotals[spec.SetAt] != 0 {
+		t.Fatalf("fold missed touched ops: %s", prof.OpDistribution())
+	}
+}
+
 // The batched mode (Buffer*, drained by FlushPending — the path owner-local
 // wrappers take) must agree with the direct per-op mode.
 func TestBatchedRecordingMatchesDirect(t *testing.T) {

@@ -1,13 +1,16 @@
 // Package stats provides the streaming statistics used by the Chameleon
-// semantic profiler: running mean/variance (Welford's algorithm), min/max
-// tracking, and small histograms. All aggregates in paper Table 1
-// ("Avg/Var operation count", "Avg/Var of maximal size") are computed with
-// these types so that profiling never needs to retain per-instance samples.
+// semantic profiler: exact integer moments (SumSq, StdDevOf),
+// running mean/variance over floats (Welford's algorithm, used to pool
+// serialized profiles), and small histograms. All aggregates in paper
+// Table 1 ("Avg/Var operation count", "Avg/Var of maximal size") are
+// computed with these types so that profiling never needs to retain
+// per-instance samples.
 package stats
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -40,17 +43,9 @@ func (w *Welford) Add(x float64) {
 	w.m2 += delta * (x - w.mean)
 }
 
-// AddN folds the same observation n times (used when aggregating a batch of
-// identical samples, e.g. instances that never grew beyond size zero).
-func (w *Welford) AddN(x float64, n int64) {
-	for i := int64(0); i < n; i++ {
-		w.Add(x)
-	}
-}
-
 // Merge combines another accumulator into w using Chan et al.'s parallel
-// update, so per-instance accumulators can be folded into the per-context
-// accumulator when an instance dies (the paper's finalizer aggregation).
+// update, so accumulators built separately (fleet merge rebuilds one per
+// source snapshot with FromMoments) pool into one.
 func (w *Welford) Merge(o Welford) {
 	if o.n == 0 {
 		return
@@ -123,13 +118,64 @@ func (w *Welford) Variance() float64 {
 // its standard deviation is below a per-metric threshold.
 func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
 
-// Sum reports mean*count, the total of all observations.
-func (w *Welford) Sum() float64 { return w.mean * float64(w.n) }
-
 // String formats the accumulator as "n=.. mean=.. sd=.. min=.. max=..".
 func (w *Welford) String() string {
 	return fmt.Sprintf("n=%d mean=%.3f sd=%.3f min=%.0f max=%.0f",
 		w.n, w.Mean(), w.StdDev(), w.Min(), w.Max())
+}
+
+// SumSq is the exact sum of squares of a stream of non-negative integer
+// observations, held in 128 bits. The square of an observation up to 2^53
+// takes 106 bits, so 2^22 such maximal squares sum without overflow; the
+// sum never rounds, and it is independent of the order observations
+// arrive in. Together with the observation count and the plain sum, which
+// the caller keeps, it yields the standard deviation (StdDevOf).
+// The zero value is an empty sum.
+type SumSq struct{ hi, lo uint64 }
+
+// Add folds the square of one observation into the sum.
+func (s *SumSq) Add(x uint64) {
+	hi, lo := bits.Mul64(x, x)
+	var c uint64
+	s.lo, c = bits.Add64(s.lo, lo, 0)
+	s.hi += hi + c
+}
+
+// Merge adds another sum of squares into s: integer addition, so merging
+// is exact, commutative and associative.
+func (s *SumSq) Merge(o SumSq) {
+	var c uint64
+	s.lo, c = bits.Add64(s.lo, o.lo, 0)
+	s.hi += o.hi + c
+}
+
+// StdDevOf reports the population standard deviation of n non-negative
+// integer observations from their sum and sum of squares. The numerator
+// n·Σx² − (Σx)² is formed exactly in 192 bits, so a constant stream reports
+// exactly 0 and the result depends only on the three integers, never on
+// the order of the observations. Inconsistent inputs (a numerator below
+// zero) report 0.
+func StdDevOf(n, sum int64, sq SumSq) float64 {
+	if n < 2 {
+		return 0
+	}
+	// n·Σx² as (w2, w1, w0).
+	a1, w0 := bits.Mul64(uint64(n), sq.lo)
+	b1, b0 := bits.Mul64(uint64(n), sq.hi)
+	w1, c := bits.Add64(a1, b0, 0)
+	w2 := b1 + c
+	// Subtract (Σx)².
+	s1, s0 := bits.Mul64(uint64(sum), uint64(sum))
+	d0, borrow := bits.Sub64(w0, s0, 0)
+	d1, borrow := bits.Sub64(w1, s1, borrow)
+	d2, borrow := bits.Sub64(w2, 0, borrow)
+	if borrow != 0 {
+		return 0
+	}
+	const two64 = 1 << 64
+	num := (float64(d2)*two64+float64(d1))*two64 + float64(d0)
+	fn := float64(n)
+	return math.Sqrt(num / (fn * fn))
 }
 
 // Histogram is a sparse integer histogram (value -> count). Chameleon uses

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -52,19 +53,95 @@ func TestWelfordKnownValues(t *testing.T) {
 	if w.Min() != 2 || w.Max() != 9 {
 		t.Errorf("min/max = %v/%v, want 2/9", w.Min(), w.Max())
 	}
-	if got := w.Sum(); !almostEqual(got, 40, 1e-12) {
-		t.Errorf("sum = %v, want 40", got)
+}
+
+// moments folds xs into the integer moments the profiler keeps.
+func moments(xs []uint64) (n, sum int64, sq SumSq) {
+	for _, x := range xs {
+		n++
+		sum += int64(x)
+		sq.Add(x)
+	}
+	return n, sum, sq
+}
+
+func relEqual(a, b, eps float64) bool {
+	return math.Abs(a-b) <= eps*math.Max(math.Abs(a), math.Abs(b))
+}
+
+// The integer moments agree with the Welford reference on random streams.
+func TestIntMomentsMatchWelford(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 500; trial++ {
+		scale := int64(1) << uint(rng.Intn(30))
+		xs := make([]uint64, 1+rng.Intn(300))
+		var w Welford
+		for i := range xs {
+			xs[i] = uint64(rng.Int63n(scale + 1))
+			w.Add(float64(xs[i]))
+		}
+		n, sum, sq := moments(xs)
+		if got, want := Ratio(float64(sum), float64(n)), w.Mean(); !relEqual(got, want, 1e-12) {
+			t.Fatalf("trial %d: mean %v, Welford %v", trial, got, want)
+		}
+		if got, want := StdDevOf(n, sum, sq), w.StdDev(); !relEqual(got, want, 1e-12) {
+			t.Fatalf("trial %d: stddev %v, Welford %v (n=%d scale=%d)", trial, got, want, n, scale)
+		}
+	}
+	if StdDevOf(0, 0, SumSq{}) != 0 {
+		t.Fatal("empty moments must report 0")
 	}
 }
 
-func TestWelfordAddN(t *testing.T) {
-	var a, b Welford
-	for i := 0; i < 5; i++ {
-		a.Add(3)
+// A constant stream has a standard deviation of exactly 0, even at the
+// largest per-instance count a snapshot may carry.
+func TestIntMomentsConstantStreamIsExact(t *testing.T) {
+	for _, x := range []uint64{0, 1, 3, 1<<53 - 1, 1 << 53} {
+		xs := make([]uint64, 1000)
+		for i := range xs {
+			xs[i] = x
+		}
+		n, sum, sq := moments(xs)
+		if got := StdDevOf(n, sum, sq); got != 0 {
+			t.Fatalf("constant %d: stddev %v, want exactly 0", x, got)
+		}
+		if got := Ratio(float64(sum), float64(n)); got != float64(x) {
+			t.Fatalf("constant %d: mean %v", x, got)
+		}
 	}
-	b.AddN(3, 5)
-	if a.Count() != b.Count() || !almostEqual(a.Mean(), b.Mean(), 1e-12) {
-		t.Fatalf("AddN mismatch: %s vs %s", a.String(), b.String())
+}
+
+// Values near 2^53 neither overflow nor lose their spread: the result
+// matches an exact big-integer reference, and merging shuffled halves
+// gives the same 128-bit sum as one pass.
+func TestIntMomentsNear2p53(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	xs := make([]uint64, 1000)
+	for i := range xs {
+		xs[i] = 1<<53 - uint64(rng.Intn(1000))
+	}
+	n, sum, sq := moments(xs)
+
+	bn, bsum, bsq := big.NewInt(n), new(big.Int), new(big.Int)
+	for _, x := range xs {
+		bx := new(big.Int).SetUint64(x)
+		bsum.Add(bsum, bx)
+		bsq.Add(bsq, new(big.Int).Mul(bx, bx))
+	}
+	num := new(big.Int).Sub(new(big.Int).Mul(bn, bsq), new(big.Int).Mul(bsum, bsum))
+	v := new(big.Float).SetPrec(200).SetInt(num)
+	v.Quo(v, new(big.Float).SetInt(new(big.Int).Mul(bn, bn)))
+	want, _ := v.Sqrt(v).Float64()
+	if got := StdDevOf(n, sum, sq); !relEqual(got, want, 1e-12) {
+		t.Fatalf("stddev %v, exact %v", got, want)
+	}
+
+	rng.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
+	_, _, a := moments(xs[:400])
+	_, _, b := moments(xs[400:])
+	b.Merge(a)
+	if b != sq {
+		t.Fatalf("merged halves %+v != one pass %+v", b, sq)
 	}
 }
 
